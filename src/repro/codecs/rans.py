@@ -32,6 +32,9 @@ PROB_SCALE = 1 << PROB_BITS
 #: Lower bound of the ANS state interval [2^16, 2^32).
 STATE_LOW = np.uint64(1) << np.uint64(16)
 
+#: Bits per renormalisation word.
+_SHIFT16 = np.uint64(16)
+
 
 def normalize_freqs(freqs: np.ndarray, prob_scale: int = PROB_SCALE) -> np.ndarray:
     """Scale raw counts so they sum to ``prob_scale``, keeping present >= 1."""
@@ -89,68 +92,64 @@ class RansCodec:
                 meta={"num_streams": k},
             )
         freqs = normalize_freqs(np.bincount(data, minlength=256), prob_scale)
-        cum = np.concatenate([[0], np.cumsum(freqs)])[:256].astype(np.uint64)
-        freqs_u = freqs.astype(np.uint64)
 
-        # Lay out symbols as (streams, steps); pad the ragged tail.
+        # Per-symbol tables, plus symbol 256 for the padding lanes of the
+        # ragged last step: f=1, P-f=0 and cum=0 leave the state as it is,
+        # and x_max=2^63 never renormalises, so no lane needs a mask.
+        f_sym = np.append(freqs, 1).astype(np.uint64)
+        cum_sym = np.append(np.cumsum(freqs) - freqs, 0).astype(np.uint64)
+        x_max_sym = f_sym * (
+            (STATE_LOW >> np.uint64(self.prob_bits)) << _SHIFT16
+        )
+        x_max_sym[256] = np.uint64(1) << np.uint64(63)
+        p_minus_f_sym = np.uint64(prob_scale) - f_sym
+        p_minus_f_sym[256] = 0
+
+        # Lay out symbols as (steps, streams): symbol i is stream i % k's
+        # symbol at step i // k.
         steps = ceil_div(n, k)
-        padded = np.zeros(k * steps, dtype=np.uint8)
-        padded[:n] = data
-        lanes = padded.reshape(steps, k).T  # (k, steps)
-        valid = (np.arange(k)[:, None] + np.arange(steps)[None, :] * k) < n
+        sym = np.full(steps * k, 256, dtype=np.int64)
+        sym[:n] = data
+        sym = sym.reshape(steps, k)
+        f, cum = f_sym[sym], cum_sym[sym]
+        x_max, p_minus_f = x_max_sym[sym], p_minus_f_sym[sym]
 
         x = np.full(k, STATE_LOW, dtype=np.uint64)
-        emit_stream: list[np.ndarray] = []
-        emit_word: list[np.ndarray] = []
-        shift16 = np.uint64(16)
-        pbits = np.uint64(self.prob_bits)
-        # Encode in reverse symbol order so the decoder runs forward.
-        for step in range(steps - 1, -1, -1):
-            syms = lanes[:, step].astype(np.int64)
-            active = valid[:, step]
-            # Inactive (padding) lanes may map to zero-frequency symbols;
-            # substitute 1 so the vectorised division is well-defined (their
-            # state update is discarded by the mask below).
-            f = np.where(active, freqs_u[syms], np.uint64(1))
-            x_max = (f << np.uint64(20)) if self.prob_bits == 12 else (
-                (STATE_LOW >> pbits) << shift16
-            ) * f
-            renorm = active & (x >= x_max)
-            if renorm.any():
-                emit_stream.append(np.flatnonzero(renorm).astype(np.int64))
-                emit_word.append((x[renorm] & np.uint64(0xFFFF)).astype(np.uint16))
-                x[renorm] >>= shift16
-            q = x // f
-            r = x - q * f
-            x_new = (q << pbits) + r + cum[syms]
-            x = np.where(active, x_new, x)
+        q = np.empty(k, dtype=np.uint64)
+        renorm = np.empty((steps, k), dtype=bool)
+        low_words = np.empty((steps, k), dtype=np.uint16)
+        # Encode in reverse symbol order so the decoder runs forward.  The
+        # update x' = (x // f) * P + x % f + cum is written as
+        # x + (x // f) * (P - f) + cum, which a padding lane turns into x.
+        rows = zip(
+            renorm[::-1], low_words[::-1], x_max[::-1], f[::-1],
+            p_minus_f[::-1], cum[::-1],
+        )
+        for flags, words, x_max_s, f_s, p_minus_f_s, cum_s in rows:
+            np.greater_equal(x, x_max_s, out=flags)
+            words[...] = x  # truncating copy: the low 16 bits
+            np.right_shift(x, _SHIFT16, out=x, where=flags)
+            np.floor_divide(x, f_s, out=q)
+            np.multiply(q, p_minus_f_s, out=q)
+            x += q
+            x += cum_s
 
-        if emit_stream:
-            streams_cat = np.concatenate(emit_stream)
-            words_cat = np.concatenate(emit_word)
-        else:
-            streams_cat = np.zeros(0, dtype=np.int64)
-            words_cat = np.zeros(0, dtype=np.uint16)
-        # Per-stream payload in decode (reverse-of-emission) order.
-        order = np.argsort(streams_cat, kind="stable")
-        counts = np.bincount(streams_cat, minlength=k)
-        sorted_words = words_cat[order]
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        payload_words = np.empty_like(sorted_words)
-        for j in range(k):
-            seg = sorted_words[offsets[j]:offsets[j + 1]]
-            payload_words[offsets[j]:offsets[j + 1]] = seg[::-1]
+        # Stream j's payload in decode order is the reverse of its emission
+        # order: its renormalisation words by ascending step.
+        payload_words = low_words.T[renorm.T]
+        counts = renorm.sum(axis=0, dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
 
         header_nbytes = 512 + 8 * k + 16  # freq table + per-stream state/offset
         return EncodedStream(
             codec=self.name,
-            payload=payload_words.view(np.uint8).copy(),
+            payload=payload_words.view(np.uint8),
             n_symbols=n,
             header_nbytes=header_nbytes,
             meta={
                 "num_streams": k,
                 "freqs": freqs,
-                "states": x.copy(),
+                "states": x,
                 "word_offsets": offsets,
                 "prob_bits": self.prob_bits,
             },

@@ -1,34 +1,58 @@
 """Bit-exact functional GEMM executors (correctness layer of ZipGEMM).
 
 Performance is modelled analytically elsewhere; *values* are computed here.
-Both executors run the exact same tiled schedule — one FragTile-sized
-``(8,8) @ (8,N)`` multiply-accumulate per step, in canonical tile order — and
-differ only in where the fragment comes from:
+Both executors run the exact same split-K chunk schedule and differ only in
+where a chunk's weights come from:
 
-* :func:`dense_gemm_tiled` slices it from the uncompressed weights;
-* :func:`zipgemm_execute` decodes it from the TCA-TBE buffers immediately
+* :func:`dense_gemm_tiled` slices them from the uncompressed weights
+  (``to_tiles(pad_matrix(w))``);
+* :func:`zipgemm_execute` decodes them from the TCA-TBE buffers immediately
   before use ("load-compressed, compute-decompressed", §4.3).
 
-Because TCA-TBE is lossless and the schedules are identical, the outputs are
-bit-identical float32 arrays — the paper's "bit-exact inference" property,
-asserted directly in the tests.
+The schedule walks K in 64-wide chunks, one BlockTile column each.  Per
+chunk, one :func:`~repro.tcatbe.decompressor.decode_tiles` call decodes
+the chunk's FragTiles across all of M — every element addressed by its
+tile's buffer starts plus the prefix popcount of the spatial indicator, as
+each warp lane does in Algorithm 2.  The words are reshaped into
+``(8 K-slices, M/8 row strips, 8, 8)`` fragments, and the 8 slice MMAs run
+as batched ``(8,8) @ (8,N)`` matmuls accumulated in place.  At most one
+``M x 64`` decoded chunk is live, the thread-block granularity of the
+kernel's load-compressed, compute-decompressed loop.
+
+Each row strip adds the same FragTile products in ascending K that a
+per-tile loop over the canonical tile order adds (the tests pin this
+against the warp-level reference decoder), and the two executors share the
+schedule, so their outputs are bit-identical float32 arrays — the paper's
+"bit-exact inference" property, asserted directly in the tests.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from ..bf16 import bf16_to_f32
 from ..errors import ShapeError
-from ..tcatbe.decompressor import decompress_tile
+from ..tcatbe.decompressor import decode_tiles
 from ..tcatbe.format import TcaTbeMatrix
-from ..tcatbe.layout import FRAG_TILE, pad_matrix, padded_shape, tile_base_coords
+from ..tcatbe.layout import (
+    BLOCK_TILE,
+    FRAG_TILE,
+    pad_matrix,
+    padded_shape,
+    tile_base_coords,
+    to_tiles,
+)
 from ..utils import require_2d
 
-#: Type of a fragment source: tile index -> (8, 8) float32 fragment.
-FragProvider = Callable[[int], np.ndarray]
+#: Type of a chunk source: canonical tile ids -> ``(len(ids), 64)`` BF16
+#: words, one row per FragTile.
+ChunkProvider = Callable[[np.ndarray], np.ndarray]
+
+#: FragTile-wide K slices per 64-wide chunk.
+_SLICES = BLOCK_TILE // FRAG_TILE
 
 
 def _pad_activations(x: np.ndarray, k_padded: int) -> np.ndarray:
@@ -42,29 +66,47 @@ def _pad_activations(x: np.ndarray, k_padded: int) -> np.ndarray:
     return out
 
 
-def _tiled_gemm(
-    frag_provider: FragProvider,
+def _chunk_schedule(prows: int, pcols: int) -> np.ndarray:
+    """Canonical tile ids per K chunk, shape ``(pcols / 64, prows / 8 * 8)``.
+
+    Row ``c`` lists chunk ``c``'s FragTiles ordered by K slice, then by row
+    strip, so a decoded chunk reshapes to ``(8, prows / 8, 8, 8)``
+    fragments.
+    """
+    coords = tile_base_coords(prows, pcols)
+    order = np.lexsort((coords[:, 0], coords[:, 1]))  # by column, then row
+    return order.reshape(pcols // BLOCK_TILE, -1)
+
+
+def _chunked_gemm(
+    chunk_words: ChunkProvider,
     shape: tuple[int, int],
     shape_padded: tuple[int, int],
     x: np.ndarray,
 ) -> np.ndarray:
-    """Shared tiled schedule: accumulate FragTile products in canonical order.
+    """Shared split-K schedule: per chunk, 8 batched slice MMAs in ascending K.
 
-    The canonical tile order visits, for each output row strip, its K slices
-    in ascending K — mirroring the kernel's split-K chunk loop.  Both the
-    dense reference and the fused path call this exact function, so their
-    floating-point operation order is identical.
+    Both the dense reference and the fused path call this exact function,
+    so their floating-point operation order is identical.
     """
     m, k = shape
     mp, kp = shape_padded
     if x.shape[0] != k:
         raise ShapeError(f"K mismatch: weights {m}x{k} vs activations {x.shape}")
     xp = _pad_activations(x, kp)
-    out = np.zeros((mp, x.shape[1]), dtype=np.float32)
-    for tile_index, (row0, col0) in enumerate(tile_base_coords(mp, kp)):
-        frag = frag_provider(tile_index)
-        out[row0:row0 + FRAG_TILE] += frag @ xp[col0:col0 + FRAG_TILE]
-    return out[:m]
+    strips = mp // FRAG_TILE
+    out = np.zeros((strips, FRAG_TILE, x.shape[1]), dtype=np.float32)
+    for chunk, ids in enumerate(_chunk_schedule(mp, kp)):
+        # frags[s] is one contiguous (strips, 8, 8) block, so every strip's
+        # product runs the same BLAS microkernel as a lone contiguous (8, 8)
+        # fragment (a strided operand may get a differently-ordered one).
+        frags = bf16_to_f32(chunk_words(ids)).reshape(
+            _SLICES, strips, FRAG_TILE, FRAG_TILE
+        )
+        for s in range(_SLICES):
+            col0 = chunk * BLOCK_TILE + s * FRAG_TILE
+            out += frags[s] @ xp[col0:col0 + FRAG_TILE]
+    return out.reshape(mp, -1)[:m]
 
 
 def dense_gemm_tiled(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -73,29 +115,15 @@ def dense_gemm_tiled(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     if weights.dtype != np.uint16:
         raise ShapeError("weights must be BF16 bit patterns (uint16)")
     padded = pad_matrix(weights, 0)
-    coords = tile_base_coords(*padded.shape)
-    w32 = bf16_to_f32(padded)
-
-    def provider(tile_index: int) -> np.ndarray:
-        row0, col0 = coords[tile_index]
-        # Contiguous copy: BLAS may pick a different (differently-ordered)
-        # microkernel for strided views, which would break bit-equality with
-        # the fused path's contiguous fragments.
-        return np.ascontiguousarray(
-            w32[row0:row0 + FRAG_TILE, col0:col0 + FRAG_TILE]
-        )
-
-    return _tiled_gemm(provider, weights.shape, padded.shape, x)
+    tiles = to_tiles(padded)
+    return _chunked_gemm(tiles.__getitem__, weights.shape, padded.shape, x)
 
 
 def zipgemm_execute(matrix: TcaTbeMatrix, x: np.ndarray) -> np.ndarray:
-    """Fused execution: decode each FragTile on the fly, then accumulate."""
-
-    def provider(tile_index: int) -> np.ndarray:
-        bits = decompress_tile(matrix, tile_index)
-        return bf16_to_f32(bits.reshape(FRAG_TILE, FRAG_TILE))
-
-    return _tiled_gemm(provider, matrix.shape, matrix.padded_shape, x)
+    """Fused execution: decode each K chunk on the fly, then accumulate."""
+    return _chunked_gemm(
+        partial(decode_tiles, matrix), matrix.shape, matrix.padded_shape, x
+    )
 
 
 def dense_gemm_reference(weights: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .analysis import (
     window_coverage,
 )
 from .compressor import compress
-from .decompressor import decompress, decompress_tile
+from .decompressor import decode_tiles, decompress, decompress_tile
 from .format import FORMAT_VERSION, SizeReport, TcaTbeMatrix
 from .layout import (
     BLOCK_TILE,
@@ -47,6 +47,7 @@ __all__ = [
     "compress",
     "decompress",
     "decompress_tile",
+    "decode_tiles",
     "TcaTbeMatrix",
     "SizeReport",
     "FORMAT_VERSION",

@@ -14,13 +14,10 @@ import numpy as np
 
 from ..bf16 import exponent_field, pack_sign_mantissa
 from ..errors import ShapeError
-from ..utils import require_2d
+from ..utils import popcount64, require_2d
 from .analysis import WINDOW_SIZE, WindowSelection, exponent_histogram, select_window
-from .format import TcaTbeMatrix
+from .format import TcaTbeMatrix, pack_bitplanes
 from .layout import FRAG_ELEMS, pad_matrix, to_tiles
-
-#: Precomputed 2^p table for bit-plane packing.
-_POW2 = (np.uint64(1) << np.arange(FRAG_ELEMS, dtype=np.uint64))
 
 
 def compress(
@@ -62,22 +59,18 @@ def compress(
     padded = pad_matrix(weights, pad_value)
     tiles = to_tiles(padded)  # (n_tiles, 64), row-major positions
 
-    exponents = exponent_field(tiles).astype(np.int16)
-    in_window = (exponents >= window.start) & (exponents < window.stop)
-    codes = np.where(
-        in_window, (exponents - window.base_exp).astype(np.uint8), 0
-    ).astype(np.uint8)
-
-    bitmaps = np.empty((tiles.shape[0], 3), dtype=np.uint64)
-    for plane in range(3):
-        plane_bits = ((codes >> plane) & 1).astype(np.uint64)
-        bitmaps[:, plane] = plane_bits @ _POW2
+    # uint8 wrap-around: every exponent below the window compares large.
+    exponents = exponent_field(tiles)
+    in_window = (exponents - np.uint8(window.start)) < window.size
+    codes = (exponents - np.uint8(window.base_exp)) * in_window
+    bitmaps = pack_bitplanes(codes)
 
     packed = pack_sign_mantissa(tiles)
     high = packed[in_window]  # C-order flatten == canonical tile order
     low = tiles[~in_window]
 
-    counts = in_window.sum(axis=1, dtype=np.int64)
+    # Per-tile in-window counts are the popcounts of the spatial indicator.
+    counts = popcount64(bitmaps[:, 0] | bitmaps[:, 1] | bitmaps[:, 2])
     high_starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     low_starts = np.concatenate(
         [[0], np.cumsum(FRAG_ELEMS - counts)]

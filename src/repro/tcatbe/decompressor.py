@@ -3,8 +3,18 @@
 Algorithm 2 gives each warp lane the constant-time recipe for its two
 elements: OR the three bit-planes into a spatial indicator, popcount a prefix
 mask for dynamic addressing, reassemble the exponent as ``base + code``.
-This module performs the same steps for *all* tiles at once with numpy, and
-is exercised against the literal per-lane reference
+This module performs the same steps with numpy at two granularities:
+
+* :func:`decode_tiles` decodes any subset of FragTiles in one vector pass —
+  each position's buffer offset is its tile's ``high_starts``/``low_starts``
+  entry plus the prefix popcount of the indicator below it, exactly the
+  per-lane addressing of Algorithm 2.  The fused ZipGEMM decodes one split-K
+  chunk per call through it, and :func:`decompress_tile` is its one-tile
+  case;
+* :func:`decompress` rebuilds the whole matrix, where the canonical buffer
+  order lets a boolean scatter replace per-position addressing.
+
+Both are exercised against the literal per-lane reference
 (:mod:`repro.tcatbe.warp_ref`) in the test suite.
 """
 
@@ -14,27 +24,18 @@ import numpy as np
 
 from ..bf16 import assemble, unpack_sign_mantissa
 from ..errors import FormatError
-from .format import TcaTbeMatrix
+from .format import TcaTbeMatrix, unpack_bitplanes
 from .layout import FRAG_ELEMS, from_tiles
 
-_POSITIONS = np.arange(FRAG_ELEMS, dtype=np.uint64)
-
-
-def _codes_from_bitmaps(bitmaps: np.ndarray) -> np.ndarray:
-    """Expand ``(n_tiles, 3)`` bit-planes into ``(n_tiles, 64)`` codewords."""
-    codes = np.zeros((bitmaps.shape[0], FRAG_ELEMS), dtype=np.uint8)
-    for plane in range(3):
-        bits = (bitmaps[:, plane:plane + 1] >> _POSITIONS) & np.uint64(1)
-        codes |= (bits << np.uint64(plane)).astype(np.uint8)
-    return codes
+_POSITIONS = np.arange(FRAG_ELEMS, dtype=np.int64)
 
 
 def decompress(matrix: TcaTbeMatrix) -> np.ndarray:
     """Reconstruct the exact original BF16 (uint16) matrix."""
-    codes = _codes_from_bitmaps(matrix.bitmaps)
+    codes = unpack_bitplanes(matrix.bitmaps)
     in_window = codes > 0
 
-    expected_high = int(in_window.sum())
+    expected_high = int(np.count_nonzero(in_window))
     if expected_high != matrix.n_high:
         raise FormatError(
             f"bitmap indicator says {expected_high} compressed elements,"
@@ -60,27 +61,60 @@ def decompress(matrix: TcaTbeMatrix) -> np.ndarray:
     return np.ascontiguousarray(padded[:rows, :cols])
 
 
-def decompress_tile(matrix: TcaTbeMatrix, tile_index: int) -> np.ndarray:
-    """Decode a single FragTile to its 64 BF16 words (canonical order).
+def decode_tiles(matrix: TcaTbeMatrix, tile_ids) -> np.ndarray:
+    """Decode the FragTiles ``tile_ids`` to ``(len(tile_ids), 64)`` BF16
+    words (canonical in-tile order), in one vector pass of Algorithm 2.
 
-    This is the unit of work the fused ZipGEMM kernel performs per warp and
-    per K-slice; :mod:`repro.kernels.functional` builds on it.
+    Only the requested tiles' bitmaps and buffer segments are read.  Their
+    offsets are checked before any load — indicator popcount against the
+    ``high_starts`` span, ``64 - popcount`` against the ``low_starts``
+    span, both segments inside their buffers — and a corrupt container
+    raises :class:`FormatError` naming the first bad tile.
     """
-    if not 0 <= tile_index < matrix.n_tiles:
+    ids = np.asarray(tile_ids, dtype=np.int64).reshape(-1)
+    out_of_range = (ids < 0) | (ids >= matrix.n_tiles)
+    if out_of_range.any():
         raise FormatError(
-            f"tile index {tile_index} out of range [0, {matrix.n_tiles})"
+            f"tile index {ids[out_of_range][0]} out of range"
+            f" [0, {matrix.n_tiles})"
         )
-    codes = _codes_from_bitmaps(matrix.bitmaps[tile_index:tile_index + 1])[0]
-    in_window = codes > 0
 
-    h0 = matrix.high_starts[tile_index]
-    h1 = matrix.high_starts[tile_index + 1]
-    l0 = matrix.low_starts[tile_index]
-    l1 = matrix.low_starts[tile_index + 1]
+    # Spatial indicator and per-position prefix popcount (idx_H); the
+    # fallback rank is idx_L = p - idx_H.
+    codes = unpack_bitplanes(matrix.bitmaps[ids])
+    indicator = codes > 0
+    inclusive = np.cumsum(indicator, axis=1)
+    count = inclusive[:, -1]
+    rank_high = inclusive - indicator
 
-    out = np.empty(FRAG_ELEMS, dtype=np.uint16)
-    sign, mantissa = unpack_sign_mantissa(matrix.high[h0:h1])
-    exponent = matrix.base_exp + codes[in_window].astype(np.uint16)
-    out[in_window] = assemble(sign, exponent, mantissa)
-    out[~in_window] = matrix.low[l0:l1]
+    h0, h1 = matrix.high_starts[ids], matrix.high_starts[ids + 1]
+    l0, l1 = matrix.low_starts[ids], matrix.low_starts[ids + 1]
+    bad = (
+        (h1 - h0 != count) | (l1 - l0 != FRAG_ELEMS - count)
+        | (h0 < 0) | (h1 > matrix.n_high) | (l0 < 0) | (l1 > matrix.n_low)
+    )
+    if bad.any():
+        i = np.flatnonzero(bad)[np.argmin(ids[bad])]
+        raise FormatError(
+            f"tile {ids[i]}: offsets disagree with its bitmaps or buffers"
+            f" (popcount {count[i]}, high [{h0[i]}, {h1[i]}) of"
+            f" {matrix.n_high}, low [{l0[i]}, {l1[i]}) of {matrix.n_low})"
+        )
+
+    out = np.empty(codes.shape, dtype=np.uint16)
+    # Case A: MakeBF16(sign, base_exp + code, mantissa), the packed byte at
+    # high[h0 + idx_H].
+    high_idx = h0[:, None] + rank_high
+    sign, mantissa = unpack_sign_mantissa(matrix.high[high_idx[indicator]])
+    exponent = matrix.base_exp + codes[indicator].astype(np.uint16)
+    out[indicator] = assemble(sign, exponent, mantissa)
+    # Case B: the raw fallback word at low[l0 + idx_L].
+    fallback = ~indicator
+    low_idx = l0[:, None] + _POSITIONS - rank_high
+    out[fallback] = matrix.low[low_idx[fallback]]
     return out
+
+
+def decompress_tile(matrix: TcaTbeMatrix, tile_index: int) -> np.ndarray:
+    """Decode a single FragTile to its 64 BF16 words (canonical order)."""
+    return decode_tiles(matrix, [tile_index])[0]

@@ -36,6 +36,41 @@ SEGMENT_ALIGN = 16
 #: Offset array entry per BlockTile: two uint32 starts (high, low).
 OFFSET_ENTRY_NBYTES = 8
 
+#: Bit-planes per 3-bit codeword (one 64-bit bitmap each).
+N_PLANES = 3
+
+#: Per-plane bit masks, shaped to broadcast to ``(N_PLANES, n, 64)``.
+_PLANE_MASKS = (np.uint8(1) << np.arange(N_PLANES, dtype=np.uint8))[
+    :, None, None
+]
+
+
+def pack_bitplanes(codes: np.ndarray) -> np.ndarray:
+    """Pack ``(n, 64)`` 3-bit codewords into ``(n, 3)`` uint64 bit-planes.
+
+    Bit ``p`` of plane ``j`` is bit ``j`` of the code at position ``p``:
+    ``packbits(bitorder="little")`` puts position ``p`` at bit ``p % 8`` of
+    byte ``p // 8``, and a little-endian uint64 view of those eight bytes
+    puts it at bit ``p``.  This is the one definition of the plane layout;
+    the matrix and vector encoders and every decoder go through it.  The
+    planes are packed plane-major, one contiguous bit stream each.
+    """
+    planes = codes & _PLANE_MASKS  # nonzero packs as a 1 bit
+    packed = np.packbits(planes, bitorder="little").view("<u8")
+    return np.ascontiguousarray(packed.reshape(N_PLANES, -1).T, np.uint64)
+
+
+def unpack_bitplanes(bitmaps: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`pack_bitplanes`: ``(n, 3)`` planes to ``(n, 64)``
+    uint8 codewords."""
+    raw = np.ascontiguousarray(bitmaps.T, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")
+    bits = bits.reshape(N_PLANES, -1, FRAG_ELEMS)
+    codes = bits[1] << 1
+    codes |= bits[0]
+    codes |= bits[2] << 2
+    return codes
+
 
 @dataclass(frozen=True)
 class SizeReport:

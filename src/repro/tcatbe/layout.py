@@ -117,20 +117,15 @@ def tile_base_coords(prows: int, pcols: int) -> np.ndarray:
     if prows % BLOCK_TILE or pcols % BLOCK_TILE:
         raise ShapeError("shape must be BlockTile aligned")
     mb, kb = prows // BLOCK_TILE, pcols // BLOCK_TILE
-    coords = []
-    for bt_r in range(mb):
-        for bt_c in range(kb):
-            for tt_r in range(_TT_PER_BT):
-                for tt_c in range(_TT_PER_BT):
-                    for ft_c in range(_FT_PER_TT):
-                        for ft_r in range(_FT_PER_TT):
-                            coords.append((
-                                bt_r * BLOCK_TILE + tt_r * TC_TILE
-                                + ft_r * FRAG_TILE,
-                                bt_c * BLOCK_TILE + tt_c * TC_TILE
-                                + ft_c * FRAG_TILE,
-                            ))
-    return np.asarray(coords, dtype=np.int64)
+    # Same nesting as to_tiles: bt_r, bt_c, tt_r, tt_c, ft_c, ft_r.
+    bt_r, bt_c, tt_r, tt_c, ft_c, ft_r = np.indices(
+        (mb, kb, _TT_PER_BT, _TT_PER_BT, _FT_PER_TT, _FT_PER_TT),
+        dtype=np.int64,
+    ).reshape(6, -1)
+    return np.stack([
+        bt_r * BLOCK_TILE + tt_r * TC_TILE + ft_r * FRAG_TILE,
+        bt_c * BLOCK_TILE + tt_c * TC_TILE + ft_c * FRAG_TILE,
+    ], axis=1)
 
 
 def lane_positions(lane: int) -> tuple[int, int]:

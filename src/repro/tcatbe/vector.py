@@ -23,11 +23,10 @@ from ..bf16 import assemble, exponent_field, pack_sign_mantissa, unpack_sign_man
 from ..errors import FormatError
 from ..utils import ceil_div, popcount64
 from .analysis import WINDOW_SIZE, WindowSelection, exponent_histogram, select_window
+from .format import pack_bitplanes, unpack_bitplanes
 
 #: Elements per bitmap group (three 64-bit planes cover 64 elements).
 GROUP = 64
-
-_POW2 = (np.uint64(1) << np.arange(GROUP, dtype=np.uint64))
 
 
 @dataclass
@@ -122,10 +121,7 @@ def compress_vector(
     codes = np.where(
         in_window, (exponents - window.base_exp).astype(np.uint8), 0
     ).astype(np.uint8)
-    bitmaps = np.empty((n_groups, 3), dtype=np.uint64)
-    for plane in range(3):
-        bits = ((codes >> plane) & 1).astype(np.uint64)
-        bitmaps[:, plane] = bits @ _POW2
+    bitmaps = pack_bitplanes(codes)
 
     packed = pack_sign_mantissa(groups)
     high = np.ascontiguousarray(packed[in_window])
@@ -152,11 +148,7 @@ def compress_vector(
 def decompress_vector(blob: VecTbe) -> np.ndarray:
     """Recover the exact BF16 vector."""
     n_groups = blob.n_groups
-    codes = np.zeros((n_groups, GROUP), dtype=np.uint8)
-    positions = np.arange(GROUP, dtype=np.uint64)
-    for plane in range(3):
-        bits = (blob.bitmaps[:, plane:plane + 1] >> positions) & np.uint64(1)
-        codes |= (bits << np.uint64(plane)).astype(np.uint8)
+    codes = unpack_bitplanes(blob.bitmaps)
     in_window = codes > 0
 
     out = np.zeros(n_groups * GROUP, dtype=np.uint16)

@@ -1,11 +1,14 @@
 """Tests for TCA-TBE container integrity and size accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.bf16 import gaussian_bf16_matrix
 from repro.errors import FormatError
-from repro.tcatbe import compress, decompress
+from repro.kernels.functional import zipgemm_execute
+from repro.tcatbe import compress, decompress, decompress_tile
 from repro.tcatbe.format import (
     HEADER_NBYTES,
     OFFSET_ENTRY_NBYTES,
@@ -17,6 +20,20 @@ from repro.tcatbe.format import (
 @pytest.fixture
 def matrix():
     return compress(gaussian_bf16_matrix(128, 128, sigma=0.02, seed=21))
+
+
+def _corrupt(matrix, corruption):
+    """``matrix`` with one field broken, and the first tile it breaks."""
+    if corruption == "high_starts":
+        starts = matrix.high_starts.copy()
+        starts[1] += 1
+        return replace(matrix, high_starts=starts), 0
+    buffer = "high" if corruption == "high_truncated" else "low"
+    values = getattr(matrix, buffer)[:-1]
+    # Every tile whose segment now ends past the buffer is bad.
+    ends = getattr(matrix, f"{buffer}_starts")[1:]
+    first_bad = int(np.flatnonzero(ends > values.size)[0])
+    return replace(matrix, **{buffer: values}), first_bad
 
 
 class TestSizeAccounting:
@@ -113,6 +130,19 @@ class TestValidation:
         bad.bitmaps[:, 0] = ~np.uint64(0)
         with pytest.raises(FormatError):
             decompress(bad)
+
+    @pytest.mark.parametrize("decode", ["decompress_tile", "zipgemm_execute"])
+    @pytest.mark.parametrize(
+        "corruption", ["high_starts", "high_truncated", "low_truncated"]
+    )
+    def test_tile_decoders_raise_format_error(self, matrix, decode, corruption):
+        bad, first_bad = _corrupt(matrix, corruption)
+        with pytest.raises(FormatError, match=rf"^tile {first_bad}:"):
+            if decode == "decompress_tile":
+                for t in range(bad.n_tiles):
+                    decompress_tile(bad, t)
+            else:
+                zipgemm_execute(bad, np.ones((bad.shape[1], 2), np.float32))
 
     def test_constructor_field_validation(self, matrix):
         with pytest.raises(FormatError):
