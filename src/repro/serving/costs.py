@@ -540,6 +540,7 @@ class MemoizedStepCostModel:
         self._kind_stats: dict[str, list[int]] = {
             "d": [0, 0], "p": [0, 0], "m": [0, 0],
         }
+        self._mixed_stats = self._kind_stats["m"]
 
     # Raw component queries pass straight through (exact).
     def linear_time(self, n_tokens: int) -> tuple[float, int, float]:
@@ -648,18 +649,29 @@ class MemoizedStepCostModel:
         prefill_seqs: int,
         prefill_tokens: int,
     ) -> StepBreakdown:
-        """Mixed step with bucketed context and chunk size."""
+        """Mixed step with bucketed context and chunk size.
+
+        The serving loops' per-step pricing call, so the cache lookup is
+        inlined (same keys, accounting and copy-on-return as
+        :meth:`_lookup`).
+        """
         b_ctx = _bucket(decode_ctx, self.ctx_bucket) if decode_batch else 0
         b_tok = (
             _bucket(prefill_tokens, self.token_bucket)
             if prefill_tokens else 0
         )
-        return self._lookup(
-            ("m", decode_batch, b_ctx, prefill_seqs, b_tok),
-            lambda: self.inner.mixed_step(
+        key = ("m", decode_batch, b_ctx, prefill_seqs, b_tok)
+        found = self._cache.get(key)
+        if found is not None:
+            self.hits += 1
+            self._mixed_stats[0] += 1
+        else:
+            self.misses += 1
+            self._mixed_stats[1] += 1
+            found = self._cache[key] = self.inner.mixed_step(
                 decode_batch, b_ctx, prefill_seqs, b_tok
-            ),
-        )
+            )
+        return found.scaled(1.0)
 
 
 def maybe_memoize(costs: StepCostModel, cost_bucket: int) -> StepCostModel:

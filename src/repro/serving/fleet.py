@@ -254,7 +254,7 @@ class _SignalKVCache(PagedKVCache):
     The router commits a request's landing footprint at the routing
     instant (so ``least_kv_occupancy`` sees queued work before any KV
     is allocated); the first real allocation for that sequence retires
-    the commitment — after which the live block table carries the
+    the commitment — after which the live block ledger carries the
     signal.  Re-allocations after preemption find nothing to retire.
     """
 

@@ -3,7 +3,9 @@
 §6.5 of the paper: the memory freed by weight compression is "automatically
 repurposed by the memory manager to expand the KV cache capacity", growing
 batch sizes and context lengths.  This module is that memory manager: fixed
--size token blocks, per-sequence block tables, exact capacity accounting.
+-size token blocks and exact capacity accounting, kept as an integer ledger
+(per-sequence token counts plus one used-block counter) since a sequence of
+``n`` tokens always holds ``ceil(n / block_size)`` blocks.
 """
 
 from __future__ import annotations
@@ -153,7 +155,17 @@ class CompressedKVCacheSpec:
 
 
 class PagedKVCache:
-    """Block allocator with per-sequence block tables."""
+    """Integer block ledger over fixed-size token blocks.
+
+    A sequence of ``n`` tokens always holds ``ceil(n / block_size)``
+    blocks, and which physical block holds which tokens never changes a
+    simulated number, so the ledger keeps only each sequence's token
+    count plus one used-block counter.  Every operation checks capacity
+    before it changes anything: a failed call leaves the ledger as it
+    was (the batched :meth:`append_decode` keeps the growth of the
+    sequences before the one that did not fit, like the sequential
+    equivalent).
+    """
 
     def __init__(self, spec: KVCacheSpec, capacity_bytes: float):
         if capacity_bytes <= 0:
@@ -167,8 +179,8 @@ class PagedKVCache:
                 "KV capacity smaller than a single block:"
                 f" {capacity_bytes} < {spec.bytes_per_block}"
             )
-        self._free: list[int] = list(range(self.n_blocks))
-        self._tables: dict[int, list[int]] = {}
+        #: Blocks currently held by sequences.
+        self.used_blocks = 0
         self._lengths: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -180,12 +192,7 @@ class PagedKVCache:
     @property
     def free_blocks(self) -> int:
         """Blocks currently unallocated."""
-        return len(self._free)
-
-    @property
-    def used_blocks(self) -> int:
-        """Blocks currently held by sequences."""
-        return self.n_blocks - len(self._free)
+        return self.n_blocks - self.used_blocks
 
     @property
     def utilization(self) -> float:
@@ -198,84 +205,91 @@ class PagedKVCache:
             raise SchedulingError(f"unknown sequence {seq_id}")
         return self._lengths[seq_id]
 
-    def block_table(self, seq_id: int) -> list[int]:
-        """The sequence's block table (copy)."""
-        if seq_id not in self._tables:
-            raise SchedulingError(f"unknown sequence {seq_id}")
-        return list(self._tables[seq_id])
-
     # ------------------------------------------------------------------
     def blocks_needed(self, seq_id: int | None, n_tokens: int) -> int:
         """Blocks that must be newly allocated to grow by ``n_tokens``."""
         current = self._lengths.get(seq_id, 0) if seq_id is not None else 0
-        have = ceil_div(current, self.spec.block_size) if current else 0
-        need = ceil_div(current + n_tokens, self.spec.block_size)
-        return need - have
+        block = self.spec.block_size
+        return ceil_div(current + n_tokens, block) - ceil_div(current, block)
 
     def can_allocate(self, seq_id: int | None, n_tokens: int) -> bool:
         """Whether growing by ``n_tokens`` fits without eviction."""
-        return self.blocks_needed(seq_id, n_tokens) <= len(self._free)
+        return self.blocks_needed(seq_id, n_tokens) <= self.free_blocks
+
+    def can_append(self, seq_ids: list[int], n_tokens: int) -> bool:
+        """Whether every sequence in ``seq_ids`` can grow by ``n_tokens``.
+
+        Growing by ``n`` tokens never takes more than
+        ``n // block_size + 1`` new blocks per sequence, so when the free
+        blocks cover that bound the per-sequence walk is skipped (the
+        common case on large traces).
+        """
+        free = self.n_blocks - self.used_blocks
+        if len(seq_ids) * (n_tokens // self.spec.block_size + 1) <= free:
+            return True
+        return sum(self.blocks_needed(s, n_tokens) for s in seq_ids) <= free
 
     def allocate(self, seq_id: int, n_tokens: int) -> None:
         """Create a sequence and reserve blocks for its first tokens."""
-        if seq_id in self._tables:
+        if seq_id in self._lengths:
             raise SchedulingError(f"sequence {seq_id} already allocated")
         if n_tokens <= 0:
             raise SchedulingError("initial allocation must be > 0 tokens")
-        self._tables[seq_id] = []
-        self._lengths[seq_id] = 0
-        self._grow(seq_id, n_tokens)
+        blocks = ceil_div(n_tokens, self.spec.block_size)
+        if blocks > self.free_blocks:
+            raise CapacityError(
+                f"KV cache exhausted: need {blocks} blocks,"
+                f" {self.free_blocks} free"
+            )
+        self.used_blocks += blocks
+        self._lengths[seq_id] = n_tokens
 
     def append_token(self, seq_id: int, n_tokens: int = 1) -> None:
         """Extend an existing sequence by ``n_tokens`` (decode steps)."""
-        if seq_id not in self._tables:
-            raise SchedulingError(f"unknown sequence {seq_id}")
-        self._grow(seq_id, n_tokens)
+        self.append_decode((seq_id,), n_tokens)
 
-    def append_decode(self, seq_ids: list[int]) -> None:
-        """Append one token to each sequence (one decode iteration).
+    def append_decode(self, seq_ids, n_tokens: int = 1) -> None:
+        """Grow every sequence in ``seq_ids`` by ``n_tokens``.
 
-        The batched form of :meth:`append_token` — one call per step
-        instead of one per sequence, which is the serving loop's hottest
-        allocator path.  Raises partway on exhaustion like the sequential
-        equivalent; callers that preempt first never hit that.
+        The batched form of :meth:`append_token` — one call per decode
+        step, or per fast-forwarded segment of ``n_tokens`` steps,
+        instead of one per sequence: the serving loop's hottest
+        allocator path.  Raises partway on exhaustion like the
+        sequential equivalent; callers that preempt first never hit that.
         """
         lengths = self._lengths
         block = self.spec.block_size
-        for seq_id in seq_ids:
-            current = lengths.get(seq_id)
-            if current is None:
-                raise SchedulingError(f"unknown sequence {seq_id}")
-            if current % block:
-                lengths[seq_id] = current + 1
-            else:
-                self._grow(seq_id, 1)
+        used, cap = self.used_blocks, self.n_blocks
+        try:
+            for seq_id in seq_ids:
+                current = lengths.get(seq_id)
+                if current is None:
+                    raise SchedulingError(f"unknown sequence {seq_id}")
+                if n_tokens == 1 and current % block:
+                    # A token that fits in the sequence's last block
+                    # needs no new block (every decode step but one in
+                    # ``block_size``).
+                    lengths[seq_id] = current + 1
+                    continue
+                # ceil((current + n) / block) - ceil(current / block)
+                new = (
+                    (current + n_tokens - 1) // block - (current - 1) // block
+                )
+                if used + new > cap:
+                    raise CapacityError(
+                        f"KV cache exhausted: need {new} blocks,"
+                        f" {cap - used} free"
+                    )
+                used += new
+                lengths[seq_id] = current + n_tokens
+        finally:
+            self.used_blocks = used
 
     def free(self, seq_id: int) -> int:
         """Release a sequence; returns the number of blocks freed."""
-        table = self._tables.pop(seq_id, None)
-        if table is None:
+        current = self._lengths.pop(seq_id, None)
+        if current is None:
             raise SchedulingError(f"unknown sequence {seq_id}")
-        del self._lengths[seq_id]
-        self._free.extend(table)
-        return len(table)
-
-    # ------------------------------------------------------------------
-    def _grow(self, seq_id: int, n_tokens: int) -> None:
-        if n_tokens == 1:
-            # Decode fast path: a token that fits in the sequence's last
-            # block needs no allocator work (this is every step of a long
-            # decode except one in ``block_size``).
-            current = self._lengths[seq_id]
-            if current % self.spec.block_size:
-                self._lengths[seq_id] = current + 1
-                return
-        new_blocks = self.blocks_needed(seq_id, n_tokens)
-        if new_blocks > len(self._free):
-            raise CapacityError(
-                f"KV cache exhausted: need {new_blocks} blocks,"
-                f" {len(self._free)} free"
-            )
-        for _ in range(new_blocks):
-            self._tables[seq_id].append(self._free.pop())
-        self._lengths[seq_id] += n_tokens
+        blocks = ceil_div(current, self.spec.block_size)
+        self.used_blocks -= blocks
+        return blocks

@@ -45,8 +45,6 @@ import enum
 from bisect import insort
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import CapacityError, SchedulingError, UnknownSpecError
 from .kvcache import PagedKVCache
 
@@ -363,59 +361,6 @@ class StepPlan:
         return not self.prefill and not self.decode
 
 
-class DecodeWindowState:
-    """Array-of-struct view of a stable decode batch (fast-forward windows).
-
-    The serving cores' widened fast-forward advances one stable decode
-    set through many bucketed segments inside a single stage advance;
-    re-walking ``Request`` attributes and the KV allocator's
-    per-sequence dicts between segments would put python attribute
-    lookups back on the hot path the windows exist to avoid.  This holds
-    the two per-request fields the window math needs — context length
-    and remaining output tokens — as parallel numpy arrays, built once
-    per window and advanced in O(1) vectorized ops.  Timestamps stay on
-    the ``Request`` objects: only a window's final segment can finish
-    requests, and ``commit_decode_window`` stamps them scalar-side
-    there.
-
-    KV-growth checks run off the ``ctx`` array alone, relying on a
-    scheduler invariant: a decode-phase request's KV sequence holds
-    exactly ``context_len`` tokens (admission allocates the whole
-    restart context; every decode step appends one token and increments
-    ``generated`` together).
-    """
-
-    __slots__ = ("ctx", "remaining")
-
-    def __init__(self, decode: list[Request]):
-        n = len(decode)
-        self.ctx = np.fromiter(
-            (r.context_len for r in decode), dtype=np.int64, count=n
-        )
-        self.remaining = np.fromiter(
-            (r.remaining_tokens for r in decode), dtype=np.int64, count=n
-        )
-
-    def advance(self, k: int) -> None:
-        """Account ``k`` committed decode steps for every request."""
-        self.ctx += k
-        self.remaining -= k
-
-    def min_remaining(self) -> int:
-        """Steps until the first request finishes."""
-        return int(self.remaining.min())
-
-    def blocks_to_grow(self, k: int, block_size: int) -> int:
-        """New KV blocks the whole batch needs to append ``k`` tokens each.
-
-        Vectorized twin of summing ``PagedKVCache.blocks_needed(id, k)``
-        over the batch (same ceil arithmetic, batched).
-        """
-        have = (self.ctx + (block_size - 1)) // block_size
-        need = (self.ctx + (k + block_size - 1)) // block_size
-        return int((need - have).sum())
-
-
 class ContinuousBatchScheduler:
     """Continuous batching under KV and batch limits, policy-ordered."""
 
@@ -595,18 +540,19 @@ class ContinuousBatchScheduler:
             else self.limits.max_batched_tokens
         )
         decode: list[Request] = []
+        prefilling: list[Request] = []
         ctx_sum = 0
         for req in self.running:
-            if req.prefill_remaining == 0 and len(decode) < budget:
+            if req.prefill_remaining:
+                prefilling.append(req)
+            elif len(decode) < budget:
                 decode.append(req)
-                ctx_sum += req.context_len
+                ctx_sum += req.prompt_len + req.generated
         budget -= len(decode)
         prefill: list[tuple[Request, int]] = []
-        for req in self.running:
+        for req in prefilling:
             if budget <= 0:
                 break
-            if req.prefill_remaining <= 0:
-                continue
             chunk = min(req.prefill_remaining, budget)
             prefill.append((req, chunk))
             budget -= chunk
@@ -638,7 +584,7 @@ class ContinuousBatchScheduler:
         done = []
         for req in plan.decode:
             req.generated += 1
-            if req.done:
+            if req.generated >= req.max_new_tokens:
                 req.state = RequestState.FINISHED
                 req.finish_s = clock
                 self._store_prefix(req)
@@ -763,7 +709,7 @@ class ContinuousBatchScheduler:
             self.kv.append_token(req.request_id)
             req.generated += 1
             stepped.append(req)
-            if req.done:
+            if req.generated >= req.max_new_tokens:
                 req.state = RequestState.FINISHED
                 self._store_prefix(req)
                 self.kv.free(req.request_id)

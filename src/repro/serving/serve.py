@@ -74,7 +74,6 @@ from .prefixcache import (
 )
 from .scheduler import (
     ContinuousBatchScheduler,
-    DecodeWindowState,
     Request,
     RequestState,
     SchedulerLimits,
@@ -512,6 +511,21 @@ class ColocatedStage(Stage):
         if frac > self.peak_kv_frac:
             self.peak_kv_frac = frac
 
+    def _charge_cache_delay(self) -> None:
+        """Charge cold-tier prefix hits' decompress stream to the clock.
+
+        Called before the pass that prefills the admitted prompts, so
+        the restored KV exists when their first uncached token runs.
+        Cache-off schedulers never enter (zero extra float ops on the
+        bit-compat path).
+        """
+        delay_s = self.scheduler.consume_cache_delay()
+        if delay_s > 0.0:
+            if self._rec is not None:
+                self._rec.span(self.clock, delay_s, "decompress", self.name)
+            self.clock += delay_s
+            self.busy_s += delay_s
+
     # ------------------------------------------------------------------
     def next_event_time(self) -> float | None:
         if not self.pending and not self.scheduler.has_work:
@@ -533,6 +547,8 @@ class ColocatedStage(Stage):
             scheduler.submit(pending.pop(0))
         admitted = scheduler.admit()
         if admitted:
+            if scheduler.prefix_cache is not None:
+                self._charge_cache_delay()
             prompt = max(r.prefill_remaining for r in admitted)
             step_s = self.costs.prefill_step(len(admitted), prompt).total_s
             if rec is not None:
@@ -605,16 +621,7 @@ class ColocatedStage(Stage):
             return
         self.peak_running = max(self.peak_running, len(scheduler.running))
         if scheduler.prefix_cache is not None:
-            # Cold-tier hits owe a decompress stream before the first
-            # chunk of the admitted prompt runs; charge it with the
-            # admitting step.  Cache-off schedulers never enter (zero
-            # extra float ops on the bit-compat path).
-            delay_s = scheduler.consume_cache_delay()
-            if delay_s > 0.0:
-                if rec is not None:
-                    rec.span(self.clock, delay_s, "decompress", self.name)
-                self.clock += delay_s
-                self.busy_s += delay_s
+            self._charge_cache_delay()
         breakdown = self.costs.mixed_step(
             len(plan.decode),
             max(plan.mean_decode_ctx, 1),
@@ -785,56 +792,56 @@ def decode_window_len(
         or len(plan.decode) != len(scheduler.running)
     ):
         return 1
-    k = min(r.remaining_tokens for r in plan.decode)
+    k = min(r.max_new_tokens - r.generated for r in plan.decode)
     mean_ctx = max(plan.mean_decode_ctx, 1)
     k = min(k, ceil_div(mean_ctx, bucket) * bucket - mean_ctx + 1)
     if next_event_s is not None and step_s > 0:
         gap = next_event_s - clock
         k = min(k, max(1, int(gap / step_s)))
-    if k > 1:
-        kv = scheduler.kv
-        # Appending k tokens never needs more than k//block + 1 new
-        # blocks per sequence; when free blocks cover that bound the
-        # exact per-sequence walk (a dict lookup per request) is skipped
-        # — the common case on large traces.
-        bound = len(plan.decode) * (k // kv.spec.block_size + 1)
-        if bound > kv.free_blocks:
-            needed = sum(
-                kv.blocks_needed(r.request_id, k) for r in plan.decode
-            )
-            if needed > kv.free_blocks:
-                return 1
+    if k > 1 and not scheduler.kv.can_append(
+        [r.request_id for r in plan.decode], k
+    ):
+        return 1
     return k
 
 
 def commit_decode_window(
     scheduler: ContinuousBatchScheduler,
-    plan,
+    decode: list[Request],
+    ids: list[int],
     k: int,
     clock: float,
+    finishes: bool,
 ) -> None:
     """Commit ``k`` identical decode steps at post-window time ``clock``.
 
+    ``ids`` are the ``decode`` requests' ids, grown in one
+    :meth:`~repro.serving.kvcache.PagedKVCache.append_decode` call.
     ``k`` never exceeds the smallest remaining-token count, so only
     requests finishing exactly at the window's last step finish — with
-    the same ``finish_s`` the stepwise loop would have stamped.
+    the same ``finish_s`` the stepwise loop would have stamped — and
+    only a segment the caller flags as ``finishes`` looks for them.
     """
     kv = scheduler.kv
+    kv.append_decode(ids, k)
+    for req in decode:
+        req.generated += k
+    if not finishes:
+        return
     tel = scheduler.telemetry
     if tel is not None:
         scheduler._now = clock
-    for req in plan.decode:
-        kv.append_token(req.request_id, k)
-        req.generated += k
-        if req.done:
-            req.state = RequestState.FINISHED
-            req.finish_s = clock
-            scheduler._store_prefix(req)
-            kv.free(req.request_id)
-            scheduler.running.remove(req)
-            scheduler.finished.append(req)
-            if tel is not None:
-                tel.on_finish(req, clock, scheduler.track)
+    for req in decode:
+        if req.generated < req.max_new_tokens:
+            continue
+        req.state = RequestState.FINISHED
+        req.finish_s = clock
+        scheduler._store_prefix(req)
+        kv.free(req.request_id)
+        scheduler.running.remove(req)
+        scheduler.finished.append(req)
+        if tel is not None:
+            tel.on_finish(req, clock, scheduler.track)
 
 
 def run_decode_window(
@@ -876,86 +883,72 @@ def run_decode_window(
     stepwise body from an identical scheduler state, so breaking early
     is always bit-safe.
 
+    **Scalar window.**  Every request advances by the same ``k`` per
+    segment, so the first finish (``min_rem``) and the mean context
+    (``plan.decode_ctx_sum``) are tracked as scalars; ``Request``
+    objects are only touched by the per-segment
+    :func:`commit_decode_window`.
+
     **Float discipline**: the clock advances ``step_s * k`` per segment
     — the same ``(step_s, k)`` sequence, in the same order, as the
-    stepwise loop's per-window adds — and segment prices come from
-    ``decode_step_batch`` (bitwise equal to the scalar decode-only
-    ``mixed_step`` the stepwise body calls; one vectorized pricing pass
-    covers every bucket edge the window can reach).  Request state is
-    tracked in a :class:`~repro.serving.scheduler.DecodeWindowState`
-    array pair; ``Request`` objects are only touched by the per-segment
-    ``commit_decode_window``.
+    stepwise loop's per-window adds.  ``costs`` is the bucketed model
+    the stage prices with (``maybe_memoize`` at ``bucket > 0``), so a
+    segment that stays inside its context bucket keeps its price, and a
+    segment past a bucket edge reads its price from one
+    ``decode_step_batch`` table over every edge the window can still
+    reach — bitwise equal to the scalar decode-only ``mixed_step`` the
+    stepwise body calls.
 
     Returns ``(new_clock, segments)`` with one ``(step_s, k)`` tuple per
     committed segment, so callers replicate the stepwise float
     accumulation into their own counters (``busy_s``, ``n_steps``).
     ``on_segment`` (if given) runs after each segment's commit —
-    occupancy sampling hooks, which must see the pre-free peak of a
-    finishing segment, not just the window end.
+    occupancy sampling hooks, which must see every segment, not just
+    the window end.
     """
     segments: list[tuple[float, int]] = []
-    batch = len(plan.decode)
+    decode = plan.decode
+    batch = len(decode)
+    ids = [r.request_id for r in decode]
     kv = scheduler.kv
-    block_size = kv.spec.block_size
     incremental = scheduler._incremental
-    # The AoS view and the vectorized price table are built lazily, on
-    # the first segment that actually chains: most windows end at the
-    # next arrival and never continue, and for those the array setup
-    # would cost more than the python it replaces.
-    state: DecodeWindowState | None = None
+    min_rem = min(r.max_new_tokens - r.generated for r in decode)
+    edge = ceil_div(max(plan.mean_decode_ctx, 1), bucket) * bucket
+    # Built on the first bucket-edge crossing: most windows end at the
+    # next arrival inside their first bucket and never need it.
     prices: dict[int, float] | None = None
-    min_rem = min(r.remaining_tokens for r in plan.decode)
     step_s, k = first_step_s, first_k
     while True:
         clock += step_s * k
         segments.append((step_s, k))
-        finishes = k >= min_rem
-        commit_decode_window(scheduler, plan, k, clock)
-        if state is not None:
-            state.advance(k)
+        min_rem -= k
+        commit_decode_window(scheduler, decode, ids, k, clock, min_rem <= 0)
         plan.decode_ctx_sum += batch * k
         if on_segment is not None:
             on_segment()
-        if finishes:
+        if min_rem <= 0:
             break
         if next_event_s is not None and next_event_s <= clock:
             break
         if scheduler.waiting and not incremental:
             break
-        if state is None:
-            # Snapshot *after* the first commit, so no catch-up advance
-            # is owed.
-            state = DecodeWindowState(plan.decode)
-        min_rem = state.min_remaining()
-        if (
-            preemption
-            and kv.free_blocks < batch
-            and state.blocks_to_grow(1, block_size) > kv.free_blocks
-        ):
+        if preemption and not kv.can_append(ids, 1):
             break
         mean_ctx = max(plan.mean_decode_ctx, 1)
-        edge = ceil_div(mean_ctx, bucket) * bucket
-        if prices is None:
-            batch_fn = getattr(costs, "decode_step_batch", None)
-            if batch_fn is not None:
-                # One vectorized pricing pass over every bucket edge the
-                # window can still reach (bounded by the first finish).
+        if mean_ctx > edge:
+            edge = ceil_div(mean_ctx, bucket) * bucket
+            if prices is None:
                 hi = ceil_div(mean_ctx + min_rem, bucket) * bucket
                 edges = list(range(edge, hi + bucket, bucket))
                 prices = dict(
-                    zip(edges, batch_fn(batch, edges).tolist())
+                    zip(edges, costs.decode_step_batch(batch, edges).tolist())
                 )
-            else:
-                prices = {}
-        step_s = prices.get(edge)
-        if step_s is None:
-            step_s = costs.mixed_step(batch, mean_ctx, 0, 0).total_s
-        k = min_rem
-        k = min(k, edge - mean_ctx + 1)
+            step_s = prices[edge]
+        k = min(min_rem, edge - mean_ctx + 1)
         if next_event_s is not None and step_s > 0:
             gap = next_event_s - clock
             k = min(k, max(1, int(gap / step_s)))
-        if k > 1 and state.blocks_to_grow(k, block_size) > kv.free_blocks:
+        if k > 1 and not kv.can_append(ids, k):
             k = 1
         if k <= 1:
             # A one-step window must run the stepwise body (its finish

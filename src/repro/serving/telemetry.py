@@ -254,6 +254,8 @@ class TraceRecorder:
         self._phase: dict[int, str] = {}
         self._charges: dict[int, dict[str, float]] = {}
         self._arrival: dict[int, float] = {}
+        #: track -> its (kv_frac, batch, waiting) gauge series.
+        self._engine_series: dict[str, tuple[list, list, list]] = {}
 
     # ------------------------------------------------------------------
     # Raw emission
@@ -479,17 +481,20 @@ class TraceRecorder:
         """Gauge one engine's KV occupancy, batch size and queue depth."""
         if not self._metrics_on:
             return
+        series = self._engine_series.get(track)
+        if series is None:
+            # Created (or found) once per track; every later sample is
+            # three appends.
+            gauges = self.metrics.gauges
+            series = self._engine_series[track] = tuple(
+                gauges.setdefault(f"{track}/{name}", [])
+                for name in ("kv_frac", "batch", "waiting")
+            )
         kv = scheduler.kv
-        gauges = self.metrics.gauges
-        for name, value in (
-            (f"{track}/kv_frac", kv.used_blocks / max(kv.n_blocks, 1)),
-            (f"{track}/batch", float(len(scheduler.running))),
-            (f"{track}/waiting", float(len(scheduler.waiting))),
-        ):
-            series = gauges.get(name)
-            if series is None:
-                series = gauges[name] = []
-            series.append((t, value))
+        kv_frac, batch, waiting = series
+        kv_frac.append((t, kv.used_blocks / max(kv.n_blocks, 1)))
+        batch.append((t, float(len(scheduler.running))))
+        waiting.append((t, float(len(scheduler.waiting))))
 
     # ------------------------------------------------------------------
     # Reporting

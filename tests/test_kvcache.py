@@ -1,7 +1,7 @@
 """Tests for the paged KV-cache block allocator."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import CapacityError, SchedulingError
@@ -50,10 +50,55 @@ class TestAllocation:
         assert freed == 3
         assert kv.used_blocks == 0
 
-    def test_block_table(self):
+    def test_ledger_holds_ceil_blocks(self):
         kv = make_cache()
         kv.allocate(5, 33)
-        assert len(kv.block_table(5)) == 3
+        assert kv.used_blocks == 3
+        kv.append_decode([5], 15)  # 48 tokens: the third block fills
+        assert kv.used_blocks == 3
+        kv.append_decode([5])  # the 49th token opens a fourth
+        assert (kv.sequence_length(5), kv.used_blocks) == (49, 4)
+
+    def test_failed_allocate_changes_nothing(self):
+        kv = make_cache(n_blocks=4)
+        with pytest.raises(CapacityError):
+            kv.allocate(7, 80)  # 5 blocks
+        assert (kv.used_blocks, kv.free_blocks) == (0, 4)
+        with pytest.raises(SchedulingError):
+            kv.sequence_length(7)
+        kv.allocate(7, 16)
+        assert (kv.sequence_length(7), kv.used_blocks) == (16, 1)
+
+    def test_append_decode_grows_batch(self):
+        kv = make_cache()
+        kv.allocate(1, 16)
+        kv.allocate(2, 1)
+        kv.append_decode([1, 2], 16)
+        assert kv.sequence_length(1) == 32
+        assert kv.sequence_length(2) == 17
+        assert kv.used_blocks == 4
+
+    def test_append_decode_raises_partway(self):
+        kv = make_cache(n_blocks=4)
+        kv.allocate(1, 16)
+        kv.allocate(2, 16)
+        with pytest.raises(CapacityError):
+            kv.append_decode([1, 2], 17)  # 2 + 2 new blocks, 2 free
+        # The first sequence keeps its growth, like sequential appends.
+        assert kv.sequence_length(1) == 33
+        assert kv.sequence_length(2) == 16
+        assert kv.used_blocks == 4
+        with pytest.raises(SchedulingError):
+            kv.append_decode([9])
+
+    def test_can_append(self):
+        kv = make_cache(n_blocks=4)
+        kv.allocate(1, 15)
+        kv.allocate(2, 16)
+        assert kv.can_append([1, 2], 1)  # bound: 2 <= 2 free
+        # The bound (2 x 2 blocks) fails; the walk finds 1 + 1 needed.
+        assert kv.can_append([1, 2], 16)
+        assert not kv.can_append([1, 2], 33)
 
     def test_capacity_exhaustion(self):
         kv = make_cache(n_blocks=4)
@@ -111,31 +156,71 @@ class TestAllocation:
         assert kv.used_blocks == 4
 
 
+N_BLOCKS = 8
+
+
+def _blocks(lengths: dict[int, int]) -> int:
+    return sum(-(-t // 16) for t in lengths.values())
+
+
 class TestPropertyBased:
     @given(st.lists(
-        st.tuples(st.sampled_from(["alloc", "append", "free"]),
-                  st.integers(0, 5), st.integers(1, 40)),
+        st.tuples(
+            st.sampled_from(["alloc", "append", "append_decode", "free"]),
+            st.integers(0, 5), st.integers(1, 40),
+        ),
         max_size=60,
     ))
+    # Each op kind running out of blocks, then a retry that fits.
+    @example([("alloc", 0, 40), ("alloc", 1, 40), ("alloc", 2, 40),
+              ("alloc", 2, 16)])
+    @example([("alloc", 0, 40), ("alloc", 1, 40), ("append", 0, 60),
+              ("append", 0, 8)])
+    @example([("alloc", 0, 16), ("alloc", 1, 16), ("alloc", 2, 16),
+              ("append_decode", 0, 33), ("append_decode", 2, 16)])
     def test_accounting_invariant(self, ops):
-        kv = make_cache(n_blocks=32)
+        # Small enough that every op kind regularly runs out of blocks.
+        kv = make_cache(n_blocks=N_BLOCKS)
         live: dict[int, int] = {}
         for op, seq, n in ops:
-            try:
-                if op == "alloc" and seq not in live:
-                    kv.allocate(seq, n)
-                    live[seq] = n
-                elif op == "append" and seq in live:
-                    kv.append_token(seq, n)
-                    live[seq] += n
-                elif op == "free" and seq in live:
-                    kv.free(seq)
-                    del live[seq]
-            except CapacityError:
+            expected = dict(live)
+            fits = True
+            if op == "alloc" and seq not in live:
+                expected[seq] = n
+                fits = _blocks(expected) <= N_BLOCKS
+                call = (kv.allocate, seq, n)
+            elif op == "append" and seq in live:
+                expected[seq] += n
+                fits = _blocks(expected) <= N_BLOCKS
+                call = (kv.append_token, seq, n)
+            elif op == "append_decode":
+                ids = sorted(s for s in live if s >= seq)
+                for s in ids:
+                    grown = {**expected, s: expected[s] + n}
+                    if _blocks(grown) > N_BLOCKS:
+                        # Sequences before the one that does not fit keep
+                        # their growth, like the sequential equivalent.
+                        fits = False
+                        break
+                    expected = grown
+                call = (kv.append_decode, ids, n)
+            elif op == "free" and seq in live:
+                del expected[seq]
+                call = (kv.free, seq)
+            else:
                 continue
-            # Invariant: free + used == total; per-seq lengths tracked.
+            if not fits:
+                if op != "append_decode":
+                    expected = live  # a failed call changes nothing
+                with pytest.raises(CapacityError):
+                    call[0](*call[1:])
+            else:
+                call[0](*call[1:])
+            live = expected
+            assert kv.used_blocks == _blocks(live)
             assert kv.free_blocks + kv.used_blocks == kv.n_blocks
             for s, tokens in live.items():
                 assert kv.sequence_length(s) == tokens
-        expected_used = sum(-(-t // 16) for t in live.values())
-        assert kv.used_blocks == expected_used
+            for s in set(range(6)) - set(live):
+                with pytest.raises(SchedulingError):
+                    kv.sequence_length(s)

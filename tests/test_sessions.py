@@ -25,6 +25,7 @@ from repro.serving import (
     PrefixCacheConfig,
     RouterConfig,
     ServingConfig,
+    TelemetryConfig,
     get_backend,
     get_model,
     session_trace,
@@ -223,6 +224,30 @@ class TestColocatedCache:
         assert a.makespan_s == b.makespan_s
         assert a.n_steps == b.n_steps
         assert a.timings == b.timings
+
+    @pytest.mark.parametrize("prefill_mode", ["group", "chunked"])
+    def test_cold_hits_charge_their_decompress(self, engine, prefill_mode):
+        # Cold-tier hits owe a decompress stream: in both colocated
+        # prefill modes the clock pays, as ``decompress`` spans, exactly
+        # the delay the cache reports (and attribution charges).
+        trace = get_profile("chat_sessions").trace(
+            [0.15 * i for i in range(80)], seed=2
+        )
+        config = ServingConfig(
+            prefill_mode=prefill_mode,
+            prefix_cache=PrefixCacheConfig(
+                capacity_frac=0.05, hot_frac=0.3, codec="kvcomp"
+            ),
+            telemetry=TelemetryConfig(),
+        )
+        result = engine.serve(trace, config=config)
+        cold_s = result.prefix_cache.cold_delay_s
+        assert cold_s > 0.0
+        charged = sum(
+            e.dur_s for e in result.telemetry.events
+            if e.kind == "decompress"
+        )
+        assert charged == pytest.approx(cold_s, rel=1e-9)
 
     def test_auto_codec_resolves_through_the_policy(self, engine):
         selection = engine.resolve_codecs(
