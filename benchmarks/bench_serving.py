@@ -457,11 +457,13 @@ def _serve_fleet():
 def _serve_large_fleet():
     """100k-request fleet trace: the scale-out sim-throughput gate.
 
-    The router must wake only the replicas it delivers into
+    The kernel re-polls only stages that advanced, were notified or
+    were woken, so an idle replica costs nothing per iteration.  The
+    router must notify exactly the replicas it delivers into
     (:meth:`~repro.serving.kernel.Stage.notify`); a router that
-    invalidates the whole fleet per arrival puts the kernel back on the
-    O(stages) re-poll path and this scenario blows its events/s and
-    wall budgets.
+    invalidates the whole fleet per arrival, or a kernel that re-polls
+    idle stages every iteration, is back on the O(stages) re-poll path
+    and this scenario blows its events/s and wall budgets.
     """
     return _fleet_core().serve(
         poisson_trace(LARGE_N_FLEET, FLEET_RATE_RPS, seed=SEED)

@@ -45,11 +45,16 @@ stages on one :class:`~repro.serving.kernel.EventKernel`:
 With ``DisaggConfig.backpressure`` set, capacity pressure propagates
 *backwards*: the prefill stage stalls admission while the decode pool's
 projected free KV or the link queue depth crosses the configured
-watermark, and the kernel wakes it the instant a downstream event clears
-the condition.  The feedback-free default (backpressure ``None``, shared
-link, group prefill, exact costs) reproduces the old stage-by-stage
-sequential simulation bit-exactly — the stages perform the same float
-operations in the same order, the kernel only interleaves them
+watermark.  A pool with nothing but gated admissions reports no event;
+the link and the decode pool :meth:`~repro.serving.kernel.Stage.wake`
+it after every advance, so it resumes (one kernel iteration later) at
+the instant of the downstream advance that cleared the watermark.  A
+gated pool with an event of its own (an in-flight hand-off, another
+replica's step, an arrival) keeps it and re-judges the gate then.  The
+feedback-free default (backpressure ``None``, shared link, group
+prefill, exact costs) reproduces the old stage-by-stage sequential
+simulation bit-exactly — the stages perform the same float operations
+in the same order, the kernel only interleaves them
 (``tests/test_kernel.py`` pins this against recorded PR 3 floats).
 
 Conservation invariants (tested in ``tests/test_disagg.py`` and
@@ -137,15 +142,14 @@ class _BackpressureGate:
     method effectively pure).
     """
 
-    def __init__(
-        self,
-        backpressure,
-        link: "TransferLinkStage",
-        decode_pool: "DecodePoolStage",
-    ):
-        self.backpressure = backpressure
-        self.link = link
-        self.decode_pool = decode_pool
+    def __init__(self, owner: Stage):
+        self.backpressure = owner.backpressure
+        self.link = owner.link
+        self.decode_pool = owner.decode_pool
+        if self.backpressure is not None:
+            # The gate reads state the link and the decode pool own:
+            # they wake the gated pool after every advance.
+            self.link._gated = self.decode_pool._gated = owner
         self.stall_s = 0.0
         self._stall_since: float | None = None
         #: Optional :class:`~repro.serving.telemetry.TraceRecorder` plus
@@ -230,7 +234,7 @@ class PrefillPoolStage(Stage):
         self.backpressure = disagg.backpressure
         self.link = link
         self.decode_pool = decode_pool
-        self.gate = _BackpressureGate(disagg.backpressure, link, decode_pool)
+        self.gate = _BackpressureGate(self)
         self._rec = recorder
         if recorder is not None:
             self.gate.recorder = recorder
@@ -429,9 +433,7 @@ class ChunkedPrefillPoolStage(Stage):
         self.backpressure = config.disagg.backpressure
         self.link = link
         self.decode_pool = decode_pool
-        self.gate = _BackpressureGate(
-            config.disagg.backpressure, link, decode_pool
-        )
+        self.gate = _BackpressureGate(self)
         self.replicas = [
             _PrefillReplica(i, costs, kv_spec, kv_bytes, config)
             for i in range(config.disagg.prefill_replicas)
@@ -477,10 +479,11 @@ class ChunkedPrefillPoolStage(Stage):
         if replica.scheduler.waiting and not self._gated(
             replica, replica.clock
         ):
-            # A gate-stalled replica has no event of its own: the kernel
-            # re-polls this method after every downstream event, so it
-            # wakes (at the kernel's clamped clock) the instant the
-            # watermark clears.
+            # A gate-stalled replica has no event of its own.  When no
+            # other replica or hand-off gives this pool one either, the
+            # link and the decode pool wake it after every advance, so
+            # it resumes (at the kernel's clamped clock) on the first
+            # iteration after the watermark clears.
             return replica.clock
         return None
 
@@ -565,9 +568,9 @@ class ChunkedPrefillPoolStage(Stage):
                 # Nothing runs, nothing is due, admission is not gated,
                 # yet requests wait: their prompt KV can never fit this
                 # replica.  (A gated replica reports no event instead —
-                # the kernel re-polls it after every downstream event,
-                # and finish() reports it if the watermark never
-                # clears.)
+                # the link and the decode pool wake the pool after every
+                # advance, and finish() reports it if the watermark
+                # never clears.)
                 _raise_stranded(scheduler)
             return
         if scheduler.prefix_cache is not None:
@@ -660,6 +663,8 @@ class TransferLinkStage(Stage):
     """
 
     name = "transfer"
+    #: The backpressure-gated prefill pool, woken after every advance.
+    _gated: Stage | None = None
 
     def __init__(
         self,
@@ -748,6 +753,8 @@ class TransferLinkStage(Stage):
                         channel,
                     )
                 self.decode_pool.deliver(target, req, done)
+        if self._gated is not None:
+            self._gated.wake()
 
     def finish(self) -> None:
         if self.queue_depth:
@@ -812,6 +819,8 @@ class DecodePoolStage(Stage):
     """
 
     name = "decode"
+    #: The backpressure-gated prefill pool, woken after every advance.
+    _gated: Stage | None = None
 
     def __init__(
         self,
@@ -936,6 +945,8 @@ class DecodePoolStage(Stage):
             t = self._replica_event(replica)
             if t is not None and t <= now:
                 self._step_replica(replica)
+        if self._gated is not None:
+            self._gated.wake()
 
     def _upstream_horizon(self) -> float | None:
         times = [

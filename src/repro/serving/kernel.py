@@ -25,29 +25,30 @@ every stage whose event is due.  Stage order is upstream→downstream
 to the next stage within the same instant — exactly the causality the
 old sequential simulation got for free by running stages to completion
 one after another.  Reverse-direction coupling (decode→prefill
-backpressure) needs no special casing: a stalled upstream stage returns
-``None`` and is simply re-polled after every downstream event, so it
-wakes the moment the watermark clears.
+backpressure) takes one explicit wake-up: a stalled upstream stage
+returns ``None``, and the stages whose state its stall reads call its
+:meth:`Stage.wake` after every advance, so it resumes the moment the
+watermark clears.
 
-Event extraction is **heap-driven with lazy invalidation** rather than
-an every-iteration re-poll of all stages.  The kernel caches each
-stage's last reported event time in a min-heap and only re-polls a
-stage when its cached entry could be stale:
+Event extraction is **heap-driven and notify-driven**.  The kernel
+caches each stage's last reported event time in a min-heap and
+re-polls a stage only when its answer may have changed:
 
 * the stage was just advanced (its own state changed);
 * the stage called :meth:`Stage.notify` — or another stage called it on
   the stage's behalf — after an external state change (a hand-off
   delivered into its queue);
-* the stage's cached answer is ``None`` — an idle or stalled stage is
-  re-polled every iteration, because "nothing runnable" can be flipped
-  by *any* other stage's progress (a backpressure watermark clearing,
-  a flag armed cross-stage) without an explicit notification.
+* another stage called its :meth:`Stage.wake` while its cached answer
+  was ``None`` (state its stall condition reads may have changed).
 
-The ``None`` rule keeps the pre-heap wake-up semantics intact for
-stages written before :meth:`Stage.notify` existed; ``notify`` is what
-makes the heap profitable, by sparing busy stages the re-poll when
-nothing about them changed.  Stale heap entries are skipped on pop via
-per-stage generation counters (lazy deletion), never searched for.
+An iteration costs O(stages that changed), not O(stages): an idle
+stage is not polled again until something notifies or wakes it.  Due
+stages are popped off the heap and sorted into stage order; stale heap
+entries are skipped on pop via per-stage generation counters (lazy
+deletion).  As those three events are the only ways an answer changes,
+each iteration's due set equals what polling every idle stage every
+iteration would find.  ``wake`` leaves a cached time alone on purpose:
+re-polling a gated stage with an event of its own could resume it early.
 
 Invariants (tested in ``tests/test_kernel.py``):
 
@@ -108,11 +109,11 @@ class Stage:
       progress: commit work, or move the stage's internal clock
       strictly forward;
     * a stage that mutates *another* stage's queues mid-advance (a
-      hand-off) must call :meth:`notify` on the receiving stage, so the
-      kernel re-polls it — unless the receiver was idle (its last
-      report was ``None``), in which case the kernel re-polls it
-      anyway.  Calling :meth:`notify` when in doubt is always safe; it
-      costs one extra poll, never correctness.
+      hand-off) must call :meth:`notify` on the receiver: the kernel
+      never re-polls an idle stage unprompted, so a missed notification
+      strands the delivery (the receiver's :meth:`finish` reports it);
+    * a ``None`` answer that reads another stage's state (a stall) needs
+      that stage to call :meth:`wake` after every advance.
     """
 
     #: Human-readable stage name (used in error messages and stats).
@@ -130,6 +131,17 @@ class Stage:
         if kernel is not None:
             kernel.invalidate(self)
 
+    def wake(self) -> None:
+        """Re-poll this stage if its last kernel answer was ``None``.
+
+        Called by a stage whose advance may have cleared a stall this
+        stage reports (a backpressure watermark).  Unlike :meth:`notify`
+        it leaves a cached event time alone.  No-op outside a kernel.
+        """
+        kernel = getattr(self, "_kernel", None)
+        if kernel is not None:
+            kernel._wake(self)
+
     def next_event_time(self) -> float | None:
         """When this stage can next do work (``None`` = nothing runnable)."""
         raise NotImplementedError
@@ -141,8 +153,8 @@ class Stage:
     def finish(self) -> None:
         """Post-run invariant hook: raise if work was left behind.
 
-        Called once by :meth:`EventKernel.run` after every stage has
-        reported ``None``.  The default accepts a clean exit; stages
+        Called once by :meth:`EventKernel.run` after no stage has an
+        event left.  The default accepts a clean exit; stages
         holding undeliverable requests (a prompt that can never fit, a
         watermark that can never clear) override this to raise
         :class:`~repro.errors.CapacityError` instead of letting the
@@ -165,14 +177,15 @@ class EventKernel:
         self.stages = list(stages)
         #: Optional :class:`~repro.serving.telemetry.TraceRecorder`;
         #: the kernel reports loop-level counters (iterations, stage
-        #: advances) into its metrics registry after :meth:`run` — once
-        #: per run, never inside the hot loop.
+        #: advances, stage polls) into its metrics registry after
+        #: :meth:`run` — once per run, never inside the hot loop.
         self.recorder = recorder
         #: The kernel's monotone clock: the latest instant processed.
         self.now = 0.0
         # Lazy-invalidation heap state, live only while run() executes.
         self._index: dict[int, int] = {}   # id(stage) -> stage index
         self._dirty: set[int] = set()      # stage indices needing re-poll
+        self._cached: list[float | None] = []  # last answer per stage
 
     def invalidate(self, stage: Stage) -> None:
         """Mark ``stage``'s cached next-event time stale (see notify)."""
@@ -180,15 +193,22 @@ class EventKernel:
         if idx is not None:
             self._dirty.add(idx)
 
-    def run(self, until: float | None = None) -> float:
-        """Drive all stages until none reports an event; returns the clock.
+    def _wake(self, stage: Stage) -> None:
+        """Mark ``stage`` stale if its cached answer is ``None`` (see wake)."""
+        idx = self._index.get(id(stage))
+        if idx is not None and self._cached[idx] is None:
+            self._dirty.add(idx)
 
-        Each iteration: refresh the cached event times of dirty and
-        idle stages, take the earliest cached event from the heap,
-        clamp it to the monotone clock (a stage waking from a
-        backpressure stall may report a stale time), then advance every
-        stage whose event is due at that instant, in stage order.  When
-        the loop drains, every stage's :meth:`Stage.finish` hook runs.
+    def run(self, until: float | None = None) -> float:
+        """Drive the stages until no event is left; returns the clock.
+
+        Each iteration: re-poll the dirty stages (advanced, notified or
+        woken) in stage order, take the earliest cached event from the
+        heap, clamp it to the monotone clock (a stage waking from a
+        backpressure stall may report a stale time), then pop every
+        stage whose event is due at that instant and advance them in
+        stage order.  When the loop drains, every stage's
+        :meth:`Stage.finish` hook runs.
 
         ``until`` is a hard simulation deadline: the kernel stops
         *before* the first event scheduled strictly past it, leaving
@@ -207,35 +227,38 @@ class EventKernel:
         no longer matches are skipped on pop instead of being removed
         eagerly (lazy deletion).
         """
-        n = len(self.stages)
+        stages = self.stages
+        n = len(stages)
         cached: list[float | None] = [None] * n
         gen = [0] * n
         heap: list[tuple[float, int, int]] = []
-        self._index = {id(s): i for i, s in enumerate(self.stages)}
-        self._dirty = set(range(n))
-        for stage in self.stages:
+        push, pop = heapq.heappush, heapq.heappop
+        self._index = {id(s): i for i, s in enumerate(stages)}
+        self._cached = cached
+        dirty = self._dirty = set(range(n))
+        for stage in stages:
             stage._kernel = self
         try:
             stalled_iterations = 0
             timed_out = False
             n_iterations = 0
             n_advances = 0
+            n_polls = 0
             while True:
                 n_iterations += 1
-                # Re-poll stages whose cache is stale (dirty) or whose
-                # last answer was None (idle/stalled stages can be woken
-                # by any other stage's progress, with no notification).
-                for i in range(n):
-                    if i in self._dirty or cached[i] is None:
-                        t = self.stages[i].next_event_time()
-                        cached[i] = t
-                        gen[i] += 1
-                        if t is not None:
-                            heapq.heappush(heap, (t, gen[i], i))
-                self._dirty.clear()
+                # Re-poll only the stages whose state may have changed,
+                # in stage order: a poll may stamp a backpressure stall.
+                n_polls += len(dirty)
+                for i in sorted(dirty):
+                    t = stages[i].next_event_time()
+                    cached[i] = t
+                    gen[i] += 1
+                    if t is not None:
+                        push(heap, (t, gen[i], i))
+                dirty.clear()
                 # Pop stale generations until the heap head is live.
                 while heap and heap[0][1] != gen[heap[0][2]]:
-                    heapq.heappop(heap)
+                    pop(heap)
                 if not heap:
                     break
                 t = heap[0][0]
@@ -251,31 +274,36 @@ class EventKernel:
                         raise SchedulingError(
                             "event kernel stopped making progress at"
                             f" t={self.now!r} (stages:"
-                            f" {[s.name for s in self.stages]})"
+                            f" {[s.name for s in stages]})"
                         )
-                # Snapshot due stages before advancing any: an advance
-                # may notify peers, and those re-polls belong to the
-                # *next* iteration (matching the pre-heap semantics of
-                # polling everything up front).
-                due = [
-                    i for i in range(n)
-                    if cached[i] is not None and cached[i] <= self.now
-                ]
+                # Collect every due stage before advancing any: an
+                # advance may notify peers, and those re-polls belong to
+                # the *next* iteration.  The heap yields them by time,
+                # the pipeline needs them upstream→downstream.
+                now = self.now
+                due = []
+                while heap and heap[0][0] <= now:
+                    _, g, i = pop(heap)
+                    if g == gen[i]:
+                        due.append(i)
+                due.sort()
                 for i in due:
-                    self.stages[i].advance(self.now)
-                    self._dirty.add(i)
+                    stages[i].advance(now)
+                dirty.update(due)
                 n_advances += len(due)
             if not timed_out:
-                for stage in self.stages:
+                for stage in stages:
                     stage.finish()
             if self.recorder is not None:
                 metrics = self.recorder.metrics
                 metrics.count("kernel/iterations", n_iterations)
                 metrics.count("kernel/advances", n_advances)
+                metrics.count("kernel/polls", n_polls)
                 metrics.gauge("kernel/now", self.now, self.now)
         finally:
-            for stage in self.stages:
+            for stage in stages:
                 stage._kernel = None
             self._index = {}
             self._dirty = set()
+            self._cached = []
         return self.now

@@ -47,12 +47,12 @@ Python's seeded ``hash``) — so a trace routes identically across
 processes and platforms (tested in ``tests/test_fleet.py``).
 
 **The perf-critical contract** (the reason this is a kernel stage and
-not a loop): the heap kernel re-polls a stage only when it is dirty or
-idle, so the router must :meth:`~repro.serving.kernel.Stage.notify`
-exactly the replicas it delivered into — waking every replica on every
-arrival would put the whole fleet back on the O(stages) re-poll path
-the PR 6 heap kernel removed, and the 100k-request fleet trace gate in
-``benchmarks/bench_serving.py`` would catch it.
+not a loop): the kernel re-polls only stages that advanced or were
+notified, so the router must :meth:`~repro.serving.kernel.Stage.notify`
+exactly the replicas it delivered into — a missed one strands its
+request, and waking every replica per arrival would put the fleet back
+on the O(stages) re-poll path (the 100k-request fleet trace gate in
+``benchmarks/bench_serving.py`` would catch it).
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Four contracts:
 
 * **kernel primitives** — stages advance in upstream→downstream order at
   each instant, time never rewinds, ``finish`` hooks always run, and a
-  stage that stops making progress is reported instead of spinning;
+  stage that stops making progress is reported instead of spinning; the
+  kernel re-polls only stages that advanced, were notified or (idle)
+  were woken, so an idle stage costs one poll however long the run;
 * **bit-compatibility** — with backpressure off, a shared link,
   whole-prompt pool prefill and exact costs, the interleaved kernel
   reproduces the PR 3 sequential-simulation floats *bit-exactly* across
@@ -25,17 +27,24 @@ from pathlib import Path
 import pytest
 
 from repro.errors import CapacityError, SchedulingError
+from repro.gpu.specs import get_gpu
+from repro.serving.backends import get_backend
 from repro.serving.costs import StepBreakdown
 from repro.serving.disagg import DisaggregatedCore
+from repro.serving.engine import InferenceEngine
+from repro.serving.fleet import FleetConfig, FleetCore
 from repro.serving.kernel import EventKernel, Stage
 from repro.serving.kvcache import KVCacheSpec
-from repro.serving.scheduler import Request
+from repro.serving.models import get_model
+from repro.serving.scheduler import Request, SchedulerLimits
 from repro.serving.serve import (
     BackpressureConfig,
     DisaggConfig,
     ServingConfig,
     ServingCore,
 )
+from repro.serving.telemetry import TelemetryConfig
+from repro.serving.trace import poisson_trace
 
 GOLDENS = json.loads(
     (Path(__file__).parent / "data" / "kernel_goldens.json").read_text()
@@ -128,6 +137,21 @@ class _ScriptedStage(Stage):
         self.finished = True
 
 
+class _CountingStage(Stage):
+    """Reports a fixed event time (or ``None``); counts its polls."""
+
+    def __init__(self, t):
+        self.t = t
+        self.polls = 0
+
+    def next_event_time(self):
+        self.polls += 1
+        return self.t
+
+    def advance(self, now):
+        self.t = None
+
+
 class TestEventKernel:
     def test_events_processed_in_time_order(self):
         log = []
@@ -174,9 +198,82 @@ class TestEventKernel:
             def advance(self, now):
                 super().advance(now)
                 late.armed = True
+                late.notify()
 
         EventKernel([_Trigger("trig", [2.0], log), late]).run()
         assert ("late", 2.0) in log
+
+    def test_idle_stages_are_polled_once(self):
+        # An idle stage is not re-polled until something notifies or
+        # wakes it: a busy neighbour's 100 events cost it nothing.
+        idle = [_CountingStage(None) for _ in range(20)]
+        busy = _ScriptedStage("busy", [float(t) for t in range(1, 101)], [])
+        EventKernel([busy, *idle]).run()
+        assert [s.polls for s in idle] == [1] * 20
+
+    @pytest.mark.parametrize("method, polls", [
+        ("wake", (2, 1)),    # re-polls the idle stage only
+        ("notify", (2, 2)),  # re-polls both
+    ])
+    def test_wake_leaves_a_cached_event_alone(self, method, polls):
+        idle, scheduled = _CountingStage(None), _CountingStage(5.0)
+        seen = []
+
+        class _Caller(_ScriptedStage):
+            def advance(self, now):
+                super().advance(now)
+                seen.append((idle.polls, scheduled.polls))
+                getattr(idle, method)()
+                getattr(scheduled, method)()
+
+        EventKernel([_Caller("caller", [1.0, 2.0], []), idle,
+                     scheduled]).run()
+        assert seen == [(1, 1), polls]
+
+    def test_due_stages_advance_in_stage_order_despite_stale_time(self):
+        # The heap yields the stale (clamped) 0.5 before stage 0's 1.0;
+        # the kernel must still advance them upstream→downstream.
+        log = []
+        late = _ScriptedStage("late", [], log)
+
+        class _Arm(_ScriptedStage):
+            def advance(self, now):
+                super().advance(now)
+                late.times.append(0.5)
+                late.notify()
+
+        EventKernel([_ScriptedStage("first", [1.0, 1.0], log),
+                     _Arm("arm", [1.0], log), late]).run()
+        assert log == [("first", 1.0, 1.0), ("arm", 1.0, 1.0),
+                       ("first", 1.0, 1.0), ("late", 0.5, 1.0)]
+
+    def test_missed_notify_is_reported_not_advanced(self):
+        # A stage armed behind the kernel's back is never re-polled, so
+        # its finish() hook reports the stranded work.
+        class _Armed(Stage):
+            name = "armed"
+            armed = done = False
+
+            def next_event_time(self):
+                return 0.5 if self.armed and not self.done else None
+
+            def advance(self, now):
+                self.done = True
+
+            def finish(self):
+                if self.armed and not self.done:
+                    raise CapacityError("armed stage never advanced")
+
+        armed = _Armed()
+
+        class _Trigger(_ScriptedStage):
+            def advance(self, now):
+                super().advance(now)
+                armed.armed = True  # no notify()
+
+        with pytest.raises(CapacityError):
+            EventKernel([_Trigger("trig", [2.0], []), armed]).run()
+        assert not armed.done
 
     def test_finish_hook_failure_propagates(self):
         class _Leftover(_ScriptedStage):
@@ -208,6 +305,33 @@ class TestEventKernel:
     def test_needs_at_least_one_stage(self):
         with pytest.raises(SchedulingError):
             EventKernel([])
+
+    def test_fleet_polls_stay_proportional_to_advances(self):
+        # kernel/polls is the host-independent guard against a return to
+        # O(stages) polling: an 8-cell fleet has 25 stages, and
+        # re-polling every idle one each iteration costs ~15 polls per
+        # advance on this trace.
+        engine = InferenceEngine(
+            get_model("llama3.1-8b"), get_gpu("rtx4090"),
+            get_backend("zipserv"),
+        )
+        limits = SchedulerLimits(16, 2048)
+        cell = ServingConfig(
+            mode="disaggregated", prefill_mode="chunked", limits=limits,
+            cost_bucket=64, disagg=DisaggConfig(prefill_mode="chunked"),
+        )
+        config = ServingConfig(
+            mode="fleet", prefill_mode="chunked", limits=limits,
+            cost_bucket=64, telemetry=TelemetryConfig(),
+            fleet=FleetConfig(
+                n_replicas=8, routing="round_robin", instance=cell
+            ),
+        )
+        result = FleetCore(
+            engine.costs, engine.kv_spec, engine.plan.kv_bytes, config
+        ).serve(poisson_trace(400, 48.0, seed=3))
+        counters = result.telemetry.metrics.counters
+        assert counters["kernel/polls"] <= 1.5 * counters["kernel/advances"]
 
 
 # ----------------------------------------------------------------------
