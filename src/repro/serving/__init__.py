@@ -22,15 +22,17 @@ disaggregated :class:`DisaggregatedCore`
 (:mod:`repro.serving.disagg` — prefill pool → KV-transfer link → decode
 pool, with optional decode→prefill backpressure, per-replica links,
 chunked pool prefill and transfer/prefill overlap via
-:class:`DisaggConfig`).  Compression is a first-class property across
-the stack: the
-``weight_codec`` / ``kv_codec`` / ``transfer_codec`` slots of
-:class:`ServingConfig` each accept any codec registered in the unified
-registry (:mod:`repro.compression`), in any combination — or
-``"auto"``, resolved at config time by a hardware-aware codec policy
-(``codec_policy=``) over measured calibration ratios
-(``calibration=``; see :mod:`repro.compression.calibrate` and
-:mod:`repro.compression.policy`).
+:class:`DisaggConfig`).  Every engine in either topology runs one
+iteration, :meth:`EngineReplica.step`; each topology's engine instance
+is a *cell* (:class:`ColocatedStage` or :class:`DisaggCell`), which is
+also what a fleet router delivers to.  Compression is a first-class
+property across the stack: the ``weight_codec`` / ``kv_codec`` /
+``transfer_codec`` slots of :class:`ServingConfig` each accept any codec
+registered in the unified registry (:mod:`repro.compression`), in any
+combination — or ``"auto"``, resolved at config time by a
+hardware-aware codec policy (``codec_policy=``) over measured
+calibration ratios (``calibration=``; see
+:mod:`repro.compression.calibrate` and :mod:`repro.compression.policy`).
 
 Shared substrate: a model zoo with the real layer shapes of the paper's
 models, synthetic weight statistics, a paged KV-cache manager, tensor
@@ -54,6 +56,7 @@ from .costs import (
 from .disagg import (
     ChunkedPrefillPoolStage,
     DecodePoolStage,
+    DisaggCell,
     DisaggregatedCore,
     PrefillPoolStage,
     TransferLinkStage,
@@ -144,6 +147,7 @@ from .serve import (
     BackpressureConfig,
     ColocatedStage,
     DisaggConfig,
+    EngineReplica,
     ServingConfig,
     ServingCore,
     build_prefix_cache,
@@ -217,10 +221,12 @@ __all__ = [
     "ServingCore",
     "Stage",
     "EventKernel",
+    "EngineReplica",
     "ColocatedStage",
     "DisaggConfig",
     "BackpressureConfig",
     "DisaggregatedCore",
+    "DisaggCell",
     "PrefillPoolStage",
     "ChunkedPrefillPoolStage",
     "TransferLinkStage",

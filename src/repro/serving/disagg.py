@@ -10,8 +10,13 @@ compression pays a second dividend — the SplitZip observation — because
 the wire bytes shrink by the same Vector-TBE ratio that shrinks HBM
 residency (:mod:`repro.extensions.kvcomp`).
 
-:class:`DisaggregatedCore` models the whole path as three pluggable
-stages on one :class:`~repro.serving.kernel.EventKernel`:
+One :class:`DisaggCell` is the whole path: three pluggable stages on
+one :class:`~repro.serving.kernel.EventKernel`, built under their final
+names.  :class:`DisaggregatedCore` runs one cell; a fleet
+(:mod:`repro.serving.fleet`) runs several behind a router.  Every
+prefill and decode engine runs the shared engine iteration
+(:meth:`~repro.serving.serve.EngineReplica.step`), overriding only where
+its role differs.
 
 1. **prefill pool** (:class:`PrefillPoolStage`, or
    :class:`ChunkedPrefillPoolStage` with
@@ -76,25 +81,21 @@ from ..errors import CapacityError, ConfigError, SchedulingError
 from ..utils import ceil_div
 from .costs import StepCostModel, maybe_memoize
 from .kernel import EventKernel, Stage
-from .kvcache import KVCacheSpec, PagedKVCache
+from .kvcache import KVCacheSpec
 from .metrics import (
     ContinuousResult,
     PoolStats,
+    ReplicaStats,
     TransferRecord,
     TransferStats,
 )
 from .prefixcache import PrefixCacheStats
-from .scheduler import ContinuousBatchScheduler, Request, get_policy
-from .serve import (
-    ServingConfig,
-    _raise_stranded,
-    build_prefix_cache,
-    decode_window_len,
-    run_decode_window,
-)
+from .scheduler import Request, get_policy
+from .serve import EngineReplica, ServingConfig, _raise_stranded
 from .telemetry import build_recorder
 
 __all__ = [
+    "DisaggCell",
     "DisaggregatedCore",
     "PrefillPoolStage",
     "ChunkedPrefillPoolStage",
@@ -139,7 +140,8 @@ class _BackpressureGate:
     and owns the stall bookkeeping (observational only — recording the
     first-stall instant never changes a scheduling decision, so calling
     :meth:`stalled` from a stage's ``next_event_time`` keeps that
-    method effectively pure).
+    method effectively pure).  Stall events land on the owning pool's
+    lane, with its recorder.
     """
 
     def __init__(self, owner: Stage):
@@ -152,12 +154,8 @@ class _BackpressureGate:
             self.link._gated = self.decode_pool._gated = owner
         self.stall_s = 0.0
         self._stall_since: float | None = None
-        #: Optional :class:`~repro.serving.telemetry.TraceRecorder` plus
-        #: the track stall events land on; the owning stage attaches
-        #: both (and the fleet layer re-points ``track`` after renaming
-        #: its stages).
-        self.recorder = None
-        self.track = "prefill"
+        self.recorder = owner._rec
+        self.track = owner.name
 
     def stalled(self, head: Request, t: float) -> bool:
         """Whether admitting ``head`` at time ``t`` must wait."""
@@ -215,37 +213,33 @@ class PrefillPoolStage(Stage):
     Finished prefills are delivered to the transfer link at their
     completion instant (the in-flight heap), never earlier, which is
     what keeps the link's queue depth an honest backpressure signal.
+    Requests enter through ``pending`` in arrival order (the owning
+    :class:`DisaggCell` delivers them).
     """
-
-    name = "prefill"
 
     def __init__(
         self,
-        requests: list[Request],
         costs: StepCostModel,
         config: ServingConfig,
         link: "TransferLinkStage",
         decode_pool: "DecodePoolStage",
         recorder=None,
+        name: str = "prefill",
     ):
         disagg = config.disagg
+        self.name = name
+        self._rec = recorder
         self.costs = costs
         self.policy = get_policy(config.policy)
         self.backpressure = disagg.backpressure
         self.link = link
         self.decode_pool = decode_pool
         self.gate = _BackpressureGate(self)
-        self._rec = recorder
-        if recorder is not None:
-            self.gate.recorder = recorder
-            self.gate.track = self.name
         n = disagg.prefill_replicas
         self._free: list[tuple[float, int]] = [(0.0, i) for i in range(n)]
         heapq.heapify(self._free)
         self.busy = [0.0] * n
-        self.pending = sorted(
-            requests, key=lambda r: (r.arrival_s, r.request_id)
-        )
+        self.pending: list[Request] = []
         self.waiting: list[Request] = []
         #: (done_s, request_id, request) — prefills on a replica now.
         self._inflight: list[tuple[float, int, Request]] = []
@@ -363,36 +357,96 @@ class PrefillPoolStage(Stage):
             )
 
 
-class _PrefillReplica:
-    """One chunked prefill engine: scheduler, KV cache and local clock."""
+class _PrefillReplica(EngineReplica):
+    """One chunked prefill engine: decode never happens here.
 
-    def __init__(
-        self,
-        index: int,
-        costs: StepCostModel,
-        kv_spec: KVCacheSpec,
-        kv_bytes: float,
-        config: ServingConfig,
-    ):
+    Runs :meth:`EngineReplica.step` in prefill-only form.  The prefix
+    cache lives on this side — that is where cached tokens skip work —
+    carved out of the replica's own KV budget.
+    """
+
+    def __init__(self, pool, index, costs, kv_spec, kv_bytes, config,
+                 recorder=None):
+        super().__init__(
+            f"{pool.name}/r{index}", costs, kv_spec, kv_bytes, config,
+            recorder,
+        )
+        self.pool = pool
         self.index = index
-        self.costs = costs
-        self.config = config
-        # The prefix cache lives on the *prefill* side — that is where
-        # cached tokens skip work.  Each replica carves a private cache
-        # out of its own KV budget (None when no cache is configured).
-        self.prefix_cache, batch_bytes = build_prefix_cache(
-            config, kv_spec, kv_bytes, costs
-        )
-        self.scheduler = ContinuousBatchScheduler(
-            PagedKVCache(kv_spec, batch_bytes), config.limits,
-            config.policy, prefix_cache=self.prefix_cache,
-        )
-        #: (arrival_s, tiebreak, request) — dispatched, not yet due.
-        self.pending: list[tuple[float, int, Request]] = []
         self.outstanding_prompt = 0
-        self.clock = 0.0
-        self.busy_s = 0.0
-        self.n_steps = 0
+
+    def next_event_time(self) -> float | None:
+        if self.scheduler.running:
+            return self.clock
+        if self.pending:
+            return max(self.clock, self.pending[0][0])
+        if self.scheduler.waiting and not self._gated(self.clock):
+            # A gate-stalled replica has no event of its own.  When no
+            # other replica or hand-off gives this pool one either, the
+            # link and the decode pool wake it after every advance, so
+            # it resumes (at the kernel's clamped clock) on the first
+            # iteration after the watermark clears.
+            return self.clock
+        return None
+
+    def _gated(self, now: float) -> bool:
+        scheduler = self.scheduler
+        if self.pool.backpressure is None or not scheduler.waiting:
+            return False
+        head = scheduler.policy.order_waiting(scheduler.waiting)[0]
+        return self.pool.gate.stalled(head, now)
+
+    def _admit(self, now: float) -> bool:
+        scheduler, pool = self.scheduler, self.pool
+        if (
+            pool.backpressure is not None
+            and not scheduler.running
+            and scheduler.waiting
+            and self.clock < now
+        ):
+            # The replica sat gate-stalled with a frozen clock while the
+            # kernel moved on: admissions — and the chunks, TTFT stamps
+            # and hand-offs they produce — happen at the resume instant,
+            # never retroactively (the chunked twin of the group pool's
+            # start floor).
+            self.clock = now
+            if self._rec is not None:
+                scheduler._now = now
+        # Admit one request at a time so the backpressure gate sees each
+        # admission's committed KV before judging the next head — a
+        # whole-round admit could flood the decode pool in one go.
+        gated = self._gated(now)
+        while not gated and scheduler.waiting:
+            admitted = scheduler.admit(
+                enforce_token_budget=False, max_requests=1
+            )
+            if not admitted:
+                break
+            pool.decode_pool.commit_blocks(admitted[0])
+            pool.gate.resumed(now)
+            gated = self._gated(now)
+        return gated
+
+    def _after_step(self) -> None:
+        # Prefill plans never open a window: this runs after single steps.
+        scheduler = self.scheduler
+        for req in [r for r in scheduler.running if r.prefill_remaining == 0]:
+            scheduler.release(req)
+            self.outstanding_prompt -= req.prompt_len
+            # Blocks were committed at admission (the KV journey became
+            # inevitable there); the decode pool uncommits on landing.
+            # Delivery to the link waits for the hand-off's ready
+            # instant (the post-step clock) via the in-flight heap.
+            heapq.heappush(
+                self.pool._inflight, (self.clock, req.request_id, req)
+            )
+
+    def _step_span(self, plan, step_s: float) -> None:
+        self._rec.span(
+            self.clock, step_s, "prefill", self.name,
+            args={"tokens": plan.n_prefill_tokens,
+                  "seqs": plan.n_prefill_seqs},
+        )
 
 
 class ChunkedPrefillPoolStage(Stage):
@@ -401,8 +455,9 @@ class ChunkedPrefillPoolStage(Stage):
     Selected by ``DisaggConfig(prefill_mode="chunked")``.  Arrivals are
     dispatched to the replica with the fewest outstanding prompt tokens
     (ties to the lowest index); each replica then runs the colocated
-    chunked planner in prefill-only form — decode never happens here, a
-    request is :meth:`~repro.serving.scheduler.ContinuousBatchScheduler.release`-d
+    chunked iteration in prefill-only form — decode never happens here,
+    a request is
+    :meth:`~repro.serving.scheduler.ContinuousBatchScheduler.release`-d
     to the transfer link the instant its last chunk completes (which is
     also its TTFT stamp).  Unlike the group pool, chunked replicas hold
     prompt KV resident while prefilling, so each replica carries the
@@ -415,11 +470,8 @@ class ChunkedPrefillPoolStage(Stage):
     watermark holds per request, exactly as in the group pool.
     """
 
-    name = "prefill"
-
     def __init__(
         self,
-        requests: list[Request],
         costs: StepCostModel,
         kv_spec: KVCacheSpec,
         kv_bytes: float,
@@ -427,23 +479,21 @@ class ChunkedPrefillPoolStage(Stage):
         link: "TransferLinkStage",
         decode_pool: "DecodePoolStage",
         recorder=None,
+        name: str = "prefill",
     ):
-        self.costs = costs
-        self.config = config
+        self.name = name
+        self._rec = recorder
         self.backpressure = config.disagg.backpressure
         self.link = link
         self.decode_pool = decode_pool
         self.gate = _BackpressureGate(self)
         self.replicas = [
-            _PrefillReplica(i, costs, kv_spec, kv_bytes, config)
+            _PrefillReplica(self, i, costs, kv_spec, kv_bytes, config,
+                            recorder)
             for i in range(config.disagg.prefill_replicas)
         ]
-        self._rec = recorder
-        if recorder is not None:
-            self.attach_recorder(recorder)
-        self.pending = sorted(
-            requests, key=lambda r: (r.arrival_s, r.request_id)
-        )
+        #: Arrivals in order, not yet dispatched to a replica.
+        self.pending: list[Request] = []
         #: (ready_s, request_id, request) — chunk-complete hand-offs not
         #: yet delivered to the link (a step's hand-off becomes ready at
         #: the post-step clock, which may lie beyond the current kernel
@@ -451,49 +501,14 @@ class ChunkedPrefillPoolStage(Stage):
         #: backpressure watermark reads).
         self._inflight: list[tuple[float, int, Request]] = []
 
-    def attach_recorder(self, recorder) -> None:
-        """Point every telemetry hook of this pool at ``recorder``.
-
-        Track names derive from ``self.name``; the fleet layer calls
-        this again after renaming the stage so a replica's lanes read
-        ``prefill[2]/r0`` rather than a bare ``prefill/r0``.
-        """
-        self._rec = recorder
-        self.gate.recorder = recorder
-        self.gate.track = self.name
-        for replica in self.replicas:
-            replica.scheduler.telemetry = recorder
-            replica.scheduler.track = f"{self.name}/r{replica.index}"
-            if replica.prefix_cache is not None:
-                replica.prefix_cache.telemetry = recorder
-                replica.prefix_cache.track = (
-                    f"{self.name}/r{replica.index}/cache"
-                )
-
     # ------------------------------------------------------------------
-    def _replica_event(self, replica: _PrefillReplica) -> float | None:
-        if replica.scheduler.running:
-            return replica.clock
-        if replica.pending:
-            return max(replica.clock, replica.pending[0][0])
-        if replica.scheduler.waiting and not self._gated(
-            replica, replica.clock
-        ):
-            # A gate-stalled replica has no event of its own.  When no
-            # other replica or hand-off gives this pool one either, the
-            # link and the decode pool wake it after every advance, so
-            # it resumes (at the kernel's clamped clock) on the first
-            # iteration after the watermark clears.
-            return replica.clock
-        return None
-
     def next_event_time(self) -> float | None:
         times = [self.pending[0].arrival_s] if self.pending else []
         if self._inflight:
             times.append(self._inflight[0][0])
         times += [
             t for r in self.replicas
-            if (t := self._replica_event(r)) is not None
+            if (t := r.next_event_time()) is not None
         ]
         return min(times) if times else None
 
@@ -512,104 +527,9 @@ class ChunkedPrefillPoolStage(Stage):
                 target.pending, (req.arrival_s, req.request_id, req)
             )
         for replica in self.replicas:
-            t = self._replica_event(replica)
+            t = replica.next_event_time()
             if t is not None and t <= now:
-                self._step_replica(replica, now)
-
-    # ------------------------------------------------------------------
-    def _gated(self, replica: _PrefillReplica, now: float) -> bool:
-        if self.backpressure is None or not replica.scheduler.waiting:
-            return False
-        head = replica.scheduler.policy.order_waiting(
-            replica.scheduler.waiting
-        )[0]
-        return self.gate.stalled(head, now)
-
-    def _step_replica(self, replica: _PrefillReplica, now: float) -> None:
-        """One scheduling iteration of one chunked prefill replica."""
-        scheduler = replica.scheduler
-        while replica.pending and replica.pending[0][0] <= replica.clock:
-            _, _, req = heapq.heappop(replica.pending)
-            scheduler.submit(req)
-        if (
-            self.backpressure is not None
-            and not scheduler.running
-            and scheduler.waiting
-            and replica.clock < now
-        ):
-            # The replica sat gate-stalled with a frozen clock while the
-            # kernel moved on: admissions — and the chunks, TTFT stamps
-            # and hand-offs they produce — happen at the resume instant,
-            # never retroactively (the chunked twin of the group pool's
-            # start floor).
-            replica.clock = now
-        rec = self._rec
-        if rec is not None:
-            scheduler._now = replica.clock
-        # Admit one request at a time so the backpressure gate sees each
-        # admission's committed KV before judging the next head — a
-        # whole-round admit could flood the decode pool in one go.
-        gated = self._gated(replica, now)
-        while not gated and scheduler.waiting:
-            admitted = scheduler.admit(
-                enforce_token_budget=False, max_requests=1
-            )
-            if not admitted:
-                break
-            self.decode_pool.commit_blocks(admitted[0])
-            self.gate.resumed(now)
-            gated = self._gated(replica, now)
-        plan = scheduler.plan_step()
-        if plan.empty:
-            if replica.pending:
-                replica.clock = max(replica.clock, replica.pending[0][0])
-                return
-            if scheduler.has_work and not gated:
-                # Nothing runs, nothing is due, admission is not gated,
-                # yet requests wait: their prompt KV can never fit this
-                # replica.  (A gated replica reports no event instead —
-                # the link and the decode pool wake the pool after every
-                # advance, and finish() reports it if the watermark
-                # never clears.)
-                _raise_stranded(scheduler)
-            return
-        if scheduler.prefix_cache is not None:
-            # Cold-tier hits pay their decompression before the step
-            # that uses the restored KV (mirrors the colocated stage).
-            delay_s = scheduler.consume_cache_delay()
-            if delay_s > 0.0:
-                if rec is not None:
-                    rec.span(replica.clock, delay_s, "decompress",
-                             scheduler.track)
-                replica.clock += delay_s
-                replica.busy_s += delay_s
-        breakdown = self.costs.mixed_step(
-            0, 1, plan.n_prefill_seqs, plan.n_prefill_tokens
-        )
-        if rec is not None:
-            rec.span(replica.clock, breakdown.total_s, "prefill",
-                     scheduler.track,
-                     args={"tokens": plan.n_prefill_tokens,
-                           "seqs": plan.n_prefill_seqs})
-        replica.clock += breakdown.total_s
-        replica.busy_s += breakdown.total_s
-        replica.n_steps += 1
-        scheduler.apply_step(plan, replica.clock)
-        shipped = [
-            r for r in scheduler.running if r.prefill_remaining == 0
-        ]
-        for req in shipped:
-            scheduler.release(req)
-            replica.outstanding_prompt -= req.prompt_len
-            # Blocks were committed at admission (the KV journey became
-            # inevitable there); the decode pool uncommits on landing.
-            # Delivery to the link waits for the hand-off's ready
-            # instant (the post-step clock) via the in-flight heap.
-            heapq.heappush(
-                self._inflight, (replica.clock, req.request_id, req)
-            )
-        if rec is not None:
-            rec.sample_engine(scheduler.track, replica.clock, scheduler)
+                replica.step(now)
 
     def finish(self) -> None:
         stranded = [r.request_id for r in self.pending] + [
@@ -662,7 +582,6 @@ class TransferLinkStage(Stage):
     starts, never earlier.
     """
 
-    name = "transfer"
     #: The backpressure-gated prefill pool, woken after every advance.
     _gated: Stage | None = None
 
@@ -673,7 +592,9 @@ class TransferLinkStage(Stage):
         transfer_ratio: float,
         decode_pool: "DecodePoolStage",
         recorder=None,
+        name: str = "transfer",
     ):
+        self.name = name
         self._rec = recorder
         disagg = config.disagg
         self.latency = disagg.link_latency_s
@@ -769,56 +690,88 @@ class TransferLinkStage(Stage):
 # ----------------------------------------------------------------------
 # Stage 3: the decode pool
 # ----------------------------------------------------------------------
-class _DecodeReplica:
-    """One decode-pool engine: its own KV cache, scheduler and clock."""
+class _DecodeReplica(EngineReplica):
+    """One decode-pool engine: its own KV cache, scheduler and clock.
 
-    def __init__(
-        self,
-        index: int,
-        costs: StepCostModel,
-        kv_spec: KVCacheSpec,
-        kv_bytes: float,
-        config: ServingConfig,
-    ):
-        self.index = index
-        self.costs = costs
-        self.config = config
-        self.scheduler = ContinuousBatchScheduler(
-            PagedKVCache(kv_spec, kv_bytes), config.limits, config.policy
+    Runs :meth:`EngineReplica.step` with one twist: an admitted request
+    that was never preempted here enters with ``prefill_remaining = 0``
+    — its KV arrived over the link, so no prefill is owed.  Locally
+    preempted requests keep the recompute debt ``admit`` assigns them
+    and re-prefill on this replica.  ``pending`` holds KV landings.
+    """
+
+    carves_prefix_cache = False
+
+    def __init__(self, pool, index, costs, kv_spec, kv_bytes, config,
+                 recorder=None):
+        super().__init__(
+            f"{pool.name}/r{index}", costs, kv_spec, kv_bytes, config,
+            recorder,
         )
-        #: (release_s, tiebreak, request) — KV arrival order on this replica.
-        self.pending: list[tuple[float, int, Request]] = []
+        self.pool = pool
+        self.index = index
+        self.horizon = pool._upstream_horizon
         self.outstanding_tokens = 0
         #: Assigned transfers whose landing time is not yet known.
         self.n_unreleased = 0
-        self.clock = 0.0
-        self.busy_s = 0.0
-        self.n_steps = 0
-        self.peak_running = 0
         self._quiescent = False
+
+    def next_event_time(self) -> float | None:
+        if self._quiescent:
+            return None
+        if self.scheduler.running or self.scheduler.waiting:
+            return self.clock
+        if self.pending:
+            return max(self.clock, self.pending[0][0])
+        return None
+
+    def _admit(self, now: float) -> bool:
+        pool, rec = self.pool, self._rec
+        for req in self.scheduler.admit(enforce_token_budget=False):
+            if req.n_preemptions == 0:
+                req.prefill_remaining = 0
+                pool.committed_blocks -= pool.blocks_for(req)
+                if rec is not None:
+                    # The KV landed over the link — no prefill is owed;
+                    # decode residency starts at this admission.
+                    rec.transition(req, self.clock, "decode")
+        return False
+
+    def _idle(self, gated: bool) -> None:
+        # Nothing runs and nothing is scheduled to land.  If requests
+        # still wait their KV cannot fit *now* — quiesce; a later
+        # landing re-polls us, and finish() raises if none ever comes
+        # (the conservation guarantee).
+        self._quiescent = True
+
+    def _after_step(self) -> None:
+        """Sample the pool-wide occupancy a backpressure watermark bounds."""
+        pool = self.pool
+        used = sum(r.scheduler.kv.used_blocks for r in pool.replicas)
+        pool.peak_kv_frac = max(
+            pool.peak_kv_frac, used / max(pool.total_blocks, 1)
+        )
 
 
 class DecodePoolStage(Stage):
     """Decode pool: N independent continuous-batching replicas.
 
-    Each replica's scheduling iteration mirrors the colocated chunked
-    loop, with one twist: an admitted request that was never preempted
-    here enters with ``prefill_remaining = 0`` — its KV arrived over the
-    link, so no prefill is owed.  Locally preempted requests keep the
-    recompute debt ``admit`` assigns them and re-prefill on this
-    replica.  Fast-forward windows are capped at the upstream stages'
-    next event in addition to the replica's own next KV landing: the
-    interleaved kernel cannot see hand-offs that have not been scheduled
-    yet, so it stops a window where new work *could* appear (with exact
-    costs every window is one step and the cap is moot).
+    Each replica runs the one engine iteration
+    (:meth:`~repro.serving.serve.EngineReplica.step`).  Fast-forward
+    windows are capped at the upstream stages' next event in addition
+    to the replica's own next KV landing: the interleaved kernel cannot
+    see hand-offs that have not been scheduled yet, so it stops a window
+    where new work *could* appear (with exact costs every window is one
+    step and the cap is moot).
 
     The stage also owns the backpressure bookkeeping the prefill stage
     reads: committed-but-not-landed KV blocks and the pool's projected
     free fraction, plus the peak observed occupancy
-    (``peak_kv_frac``) the ``ext_disagg`` sweep reports.
+    (``peak_kv_frac``) the ``ext_disagg`` sweep reports.  For routing it
+    keeps ``queued_blocks``: the landing footprint of requests delivered
+    to the cell whose prefill has not yet committed them.
     """
 
-    name = "decode"
     #: The backpressure-gated prefill pool, woken after every advance.
     _gated: Stage | None = None
 
@@ -829,37 +782,27 @@ class DecodePoolStage(Stage):
         kv_bytes: float,
         config: ServingConfig,
         recorder=None,
+        name: str = "decode",
     ):
-        self.config = config
+        self.name = name
+        self._rec = recorder
+        self._upstream: tuple[Stage, ...] = ()
         self.replicas = [
-            _DecodeReplica(i, costs, kv_spec, kv_bytes, config)
+            _DecodeReplica(self, i, costs, kv_spec, kv_bytes, config,
+                           recorder)
             for i in range(config.disagg.decode_replicas)
         ]
-        self._rec = recorder
-        if recorder is not None:
-            self.attach_recorder(recorder)
         self.block_size = kv_spec.block_size
         self.total_blocks = sum(
             r.scheduler.kv.n_blocks for r in self.replicas
         )
         self.committed_blocks = 0
+        self.queued_blocks = 0
         self.peak_kv_frac = 0.0
-        self._upstream: tuple[Stage, ...] = ()
 
     def set_upstream(self, *stages: Stage) -> None:
         """Register the stages whose events cap fast-forward windows."""
         self._upstream = stages
-
-    def attach_recorder(self, recorder) -> None:
-        """Point every replica's telemetry hooks at ``recorder``.
-
-        Re-called by the fleet layer after renaming the stage so track
-        names carry the replica-qualified stage name.
-        """
-        self._rec = recorder
-        for replica in self.replicas:
-            replica.scheduler.telemetry = recorder
-            replica.scheduler.track = f"{self.name}/r{replica.index}"
 
     # ------------------------------------------------------------------
     # Backpressure bookkeeping (read by the prefill stage)
@@ -870,22 +813,15 @@ class DecodePoolStage(Stage):
 
     def commit_blocks(self, req: Request) -> None:
         """Reserve the request's landing footprint (at prefill start)."""
-        self.committed_blocks += self.blocks_for(req)
-
-    def _uncommit_blocks(self, req: Request) -> None:
-        self.committed_blocks -= self.blocks_for(req)
+        blocks = self.blocks_for(req)
+        self.committed_blocks += blocks
+        self.queued_blocks -= blocks
 
     def projected_free_frac(self, extra_blocks: int = 0) -> float:
         """Pool free-block fraction after in-flight KV (+extra) lands."""
         free = sum(r.scheduler.kv.free_blocks for r in self.replicas)
         return (free - self.committed_blocks - extra_blocks) / max(
             self.total_blocks, 1
-        )
-
-    def _sample_occupancy(self) -> None:
-        used = sum(r.scheduler.kv.used_blocks for r in self.replicas)
-        self.peak_kv_frac = max(
-            self.peak_kv_frac, used / max(self.total_blocks, 1)
         )
 
     # ------------------------------------------------------------------
@@ -915,36 +851,25 @@ class DecodePoolStage(Stage):
             replica.pending, (release_s, req.request_id, req)
         )
         if self._rec is not None:
-            self._rec.on_deliver(
-                req, release_s, f"{self.name}/r{index}"
-            )
+            self._rec.on_deliver(req, release_s, replica.name)
         replica._quiescent = False
         # The landing may predate this stage's cached next event — tell
         # the kernel to re-poll (the heap contract).
         self.notify()
 
     # ------------------------------------------------------------------
-    def _replica_event(self, replica: _DecodeReplica) -> float | None:
-        if replica._quiescent:
-            return None
-        if replica.scheduler.running or replica.scheduler.waiting:
-            return replica.clock
-        if replica.pending:
-            return max(replica.clock, replica.pending[0][0])
-        return None
-
     def next_event_time(self) -> float | None:
         times = [
             t for r in self.replicas
-            if (t := self._replica_event(r)) is not None
+            if (t := r.next_event_time()) is not None
         ]
         return min(times) if times else None
 
     def advance(self, now: float) -> None:
         for replica in self.replicas:
-            t = self._replica_event(replica)
+            t = replica.next_event_time()
             if t is not None and t <= now:
-                self._step_replica(replica)
+                replica.step(now)
         if self._gated is not None:
             self._gated.wake()
 
@@ -954,103 +879,6 @@ class DecodePoolStage(Stage):
             if (t := s.next_event_time()) is not None
         ]
         return min(times) if times else None
-
-    def _step_replica(self, replica: _DecodeReplica) -> None:
-        """One scheduling iteration: the sequential replica loop body."""
-        scheduler = replica.scheduler
-        rec = self._rec
-        if rec is not None:
-            scheduler._now = replica.clock
-        while replica.pending and replica.pending[0][0] <= replica.clock:
-            _, _, req = heapq.heappop(replica.pending)
-            scheduler.submit(req)
-        for req in scheduler.admit(enforce_token_budget=False):
-            if req.n_preemptions == 0:
-                req.prefill_remaining = 0
-                self._uncommit_blocks(req)
-                if rec is not None:
-                    # The KV landed over the link — no prefill is owed;
-                    # decode residency starts at this admission.
-                    rec.transition(req, replica.clock, "decode")
-        plan = scheduler.plan_step()
-        if self.config.preemption and plan.decode:
-            victims = scheduler.ensure_decode_capacity(plan.decode)
-            if victims:
-                plan.drop(victims)
-        if plan.empty:
-            if replica.pending:
-                replica.clock = max(replica.clock, replica.pending[0][0])
-                return
-            # Nothing runs and nothing is scheduled to land.  If
-            # requests still wait their KV cannot fit *now* — quiesce;
-            # a later landing re-polls us, and finish() raises if none
-            # ever comes (the conservation guarantee).
-            replica._quiescent = True
-            return
-        replica.peak_running = max(
-            replica.peak_running, len(scheduler.running)
-        )
-        breakdown = replica.costs.mixed_step(
-            len(plan.decode),
-            max(plan.mean_decode_ctx, 1),
-            plan.n_prefill_seqs,
-            plan.n_prefill_tokens,
-        )
-        next_event = replica.pending[0][0] if replica.pending else None
-        if self.config.cost_bucket > 0:
-            # Only bucketed costs fast-forward; with exact costs the
-            # window is always one step and the horizon cap is moot —
-            # skip the upstream polls (they include the prefill pool's
-            # policy sort) on the hot path.
-            horizon = self._upstream_horizon()
-            if horizon is not None:
-                next_event = (
-                    horizon if next_event is None
-                    else min(next_event, horizon)
-                )
-        k = decode_window_len(
-            scheduler, plan, next_event, replica.clock,
-            breakdown.total_s, self.config.cost_bucket,
-        )
-        if k > 1:
-            win_start = replica.clock
-            replica.clock, segments = run_decode_window(
-                scheduler, replica.costs, plan, next_event,
-                replica.clock, self.config.cost_bucket,
-                breakdown.total_s, k,
-                preemption=self.config.preemption,
-                on_segment=self._sample_occupancy,
-            )
-            for step_s, ki in segments:
-                replica.busy_s += step_s * ki
-                replica.n_steps += ki
-            if rec is not None:
-                t = win_start
-                for step_s, ki in segments:
-                    rec.span(t, step_s * ki, "decode", scheduler.track,
-                             args={"steps": ki,
-                                   "batch": len(plan.decode)})
-                    t += step_s * ki
-                rec.sample_engine(
-                    scheduler.track, replica.clock, scheduler
-                )
-        else:
-            if rec is not None:
-                rec.span(
-                    replica.clock, breakdown.total_s, "step",
-                    scheduler.track,
-                    args={"decode": len(plan.decode),
-                          "prefill_tokens": plan.n_prefill_tokens},
-                )
-            replica.clock += breakdown.total_s
-            replica.busy_s += breakdown.total_s
-            replica.n_steps += 1
-            scheduler.apply_step(plan, replica.clock)
-            self._sample_occupancy()
-            if rec is not None:
-                rec.sample_engine(
-                    scheduler.track, replica.clock, scheduler
-                )
 
     def finish(self) -> None:
         for replica in self.replicas:
@@ -1064,15 +892,191 @@ class DecodePoolStage(Stage):
 
 
 # ----------------------------------------------------------------------
-# The core: three stages on one kernel
+# The cell: three stages, one engine instance
 # ----------------------------------------------------------------------
+class DisaggCell:
+    """One disaggregated engine instance: prefill → link → decode.
+
+    Builds the stage-trio under its final names — ``prefill``,
+    ``transfer`` and ``decode`` for the bare cell
+    :class:`DisaggregatedCore` runs (``index=None``), ``prefill[i]``
+    etc. for fleet cell ``i`` — and is what the fleet router delivers
+    to.  :meth:`deliver` queues a request on the prefill pool and adds
+    its landing footprint to ``decode_pool.queued_blocks``, so
+    :meth:`kv_occupancy` reads a backlogged cell as full as it is about
+    to be without recounting its queues.  :meth:`pools` and
+    :meth:`transfer` report the cell's accounting, under ``prefill`` /
+    ``decode`` for the bare cell and ``replica<i>/...`` in a fleet.
+    """
+
+    mode = "disaggregated"
+
+    def __init__(
+        self,
+        costs: StepCostModel,
+        kv_spec: KVCacheSpec,
+        kv_bytes: float,
+        config: ServingConfig,
+        recorder=None,
+        index: int | None = None,
+    ):
+        disagg = config.disagg
+        if (
+            config.prefix_cache is not None
+            and disagg.prefill_mode != "chunked"
+        ):
+            raise ConfigError(
+                "prefix_cache requires DisaggConfig("
+                "prefill_mode='chunked'): the group prefill pool has no"
+                " per-replica scheduler to skip cached tokens with"
+            )
+        self.index = index
+        self.transfer_ratio = resolve_transfer_ratio(config)
+        tag = "" if index is None else f"[{index}]"
+        self.decode_pool = DecodePoolStage(
+            costs, kv_spec, kv_bytes, config, recorder, name=f"decode{tag}"
+        )
+        self.link = TransferLinkStage(
+            config, kv_spec, self.transfer_ratio, self.decode_pool,
+            recorder, name=f"transfer{tag}",
+        )
+        if disagg.prefill_mode == "chunked":
+            self.prefill: Stage = ChunkedPrefillPoolStage(
+                costs, kv_spec, kv_bytes, config, self.link,
+                self.decode_pool, recorder, name=f"prefill{tag}",
+            )
+        else:
+            self.prefill = PrefillPoolStage(
+                costs, config, self.link, self.decode_pool, recorder,
+                name=f"prefill{tag}",
+            )
+        self.stages = (self.prefill, self.link, self.decode_pool)
+        self.decode_pool.set_upstream(self.prefill, self.link)
+        self.n_routed = 0
+        #: When this cell (became / will become) active; ``None`` =
+        #: standby or drained.  Set by the fleet core and autoscaler.
+        self.active_since: float | None = None
+
+    # -- router surface -------------------------------------------------
+    def notify(self) -> None:
+        """Re-poll the entry stage (after a delivery into it)."""
+        self.prefill.notify()
+
+    def attach_router(self, router) -> None:
+        self.decode_pool.set_upstream(self.prefill, self.link, router)
+
+    def is_active(self, now: float) -> bool:
+        return self.active_since is not None and self.active_since <= now
+
+    def deliver(self, req: Request) -> None:
+        """Queue a request in arrival order; count its landing blocks."""
+        self.prefill.pending.append(req)
+        self.n_routed += 1
+        self.decode_pool.queued_blocks += self.decode_pool.blocks_for(req)
+
+    @property
+    def n_outstanding(self) -> int:
+        return self.n_routed - self.n_finished
+
+    def kv_occupancy(self) -> float:
+        """Projected decode-pool occupancy, queued requests included."""
+        pool = self.decode_pool
+        return 1.0 - pool.projected_free_frac(pool.queued_blocks)
+
+    @property
+    def stall_s(self) -> float:
+        return self.prefill.stall_s
+
+    # -- result surface -------------------------------------------------
+    @property
+    def n_finished(self) -> int:
+        return sum(
+            len(r.scheduler.finished) for r in self.decode_pool.replicas
+        )
+
+    @property
+    def finished(self) -> list[Request]:
+        return [
+            req for r in self.decode_pool.replicas
+            for req in r.scheduler.finished
+        ]
+
+    @property
+    def clock(self) -> float:
+        """The cell's makespan: last decode step or transfer stamp."""
+        records = self.link.records
+        return max(
+            [r.clock for r in self.decode_pool.replicas]
+            + [t.done_s for t in records]
+            + [t.ready_s for t in records]
+        )
+
+    @property
+    def n_steps(self) -> int:
+        return self.prefill.n_prefills + sum(
+            r.n_steps for r in self.decode_pool.replicas
+        )
+
+    @property
+    def peak_running(self) -> int:
+        return max(r.peak_running for r in self.decode_pool.replicas)
+
+    @property
+    def n_preemptions(self) -> int:
+        return sum(
+            r.scheduler.n_preemptions for r in self.decode_pool.replicas
+        )
+
+    def cache_stats(self) -> list[PrefixCacheStats]:
+        """Prefix-cache counters (only chunked prefill pools carry any)."""
+        return getattr(self.prefill, "cache_stats", list)()
+
+    def pools(self, makespan_s: float) -> tuple[PoolStats, PoolStats]:
+        """Prefill and decode pool accounting over ``makespan_s``."""
+        prefix = "" if self.index is None else f"replica{self.index}/"
+        replicas = self.decode_pool.replicas
+        return (
+            PoolStats.from_busy(
+                f"{prefix}prefill", self.prefill.busy, makespan_s,
+                n_steps=self.prefill.n_prefills,
+                stall_s=self.prefill.stall_s,
+            ),
+            PoolStats.from_busy(
+                f"{prefix}decode", [r.busy_s for r in replicas],
+                makespan_s, n_steps=sum(r.n_steps for r in replicas),
+                peak_kv_frac=self.decode_pool.peak_kv_frac,
+            ),
+        )
+
+    def transfer(self, makespan_s: float) -> TransferStats:
+        """The link's transfer accounting over ``makespan_s``."""
+        return TransferStats.from_records(
+            self.link.records, makespan_s, self.transfer_ratio,
+            n_links=self.link.n_links,
+            peak_queue_depth=self.link.peak_queue_depth,
+        )
+
+    def stats(self, makespan_s: float) -> ReplicaStats:
+        """The cell's fleet row: routing counts, pools and link."""
+        return ReplicaStats(
+            index=self.index,
+            mode=self.mode,
+            n_routed=self.n_routed,
+            n_finished=self.n_finished,
+            n_unfinished=self.n_outstanding,
+            pools=self.pools(makespan_s),
+            transfer=self.transfer(makespan_s),
+        )
+
+
 class DisaggregatedCore:
     """Two-pool serving: prefill pool → KV-transfer link → decode pool.
 
     Drop-in sibling of :class:`~repro.serving.serve.ServingCore` — same
     constructor shape, same :meth:`serve` contract — selected by
-    ``ServingConfig(mode="disaggregated")``.  The result's ``pools`` and
-    ``transfer`` fields carry the disaggregation-specific accounting.
+    ``ServingConfig(mode="disaggregated")``: one :class:`DisaggCell` on
+    the kernel.  The result's ``pools`` and ``transfer`` fields carry
+    the disaggregation-specific accounting.
     """
 
     def __init__(
@@ -1087,15 +1091,6 @@ class DisaggregatedCore:
             raise ConfigError(
                 "DisaggregatedCore requires mode='disaggregated',"
                 f" got {self.config.mode!r}"
-            )
-        if (
-            self.config.prefix_cache is not None
-            and self.config.disagg.prefill_mode != "chunked"
-        ):
-            raise ConfigError(
-                "prefix_cache requires DisaggConfig("
-                "prefill_mode='chunked'): the group prefill pool has no"
-                " per-replica scheduler to skip cached tokens with"
             )
         self.costs = maybe_memoize(costs, self.config.cost_bucket)
         self.kv_spec = kv_spec
@@ -1123,93 +1118,40 @@ class DisaggregatedCore:
         if not requests:
             raise ConfigError("serve needs at least one request")
         rec = build_recorder(self.config.telemetry)
-        disagg = self.config.disagg
-        decode_pool = DecodePoolStage(
+        cell = DisaggCell(
             self.costs, self.kv_spec, self.kv_bytes, self.config,
             recorder=rec,
         )
-        link = TransferLinkStage(
-            self.config, self.kv_spec, self.transfer_ratio, decode_pool,
-            recorder=rec,
-        )
-        if disagg.prefill_mode == "chunked":
-            prefill: Stage = ChunkedPrefillPoolStage(
-                requests, self.costs, self.kv_spec, self.kv_bytes,
-                self.config, link, decode_pool, recorder=rec,
-            )
-        else:
-            prefill = PrefillPoolStage(
-                requests, self.costs, self.config, link, decode_pool,
-                recorder=rec,
-            )
-        if rec is not None:
-            for req in sorted(
-                requests, key=lambda r: (r.arrival_s, r.request_id)
-            ):
-                rec.on_arrival(req, track=prefill.name)
-        decode_pool.set_upstream(prefill, link)
-        EventKernel(
-            [prefill, link, decode_pool], recorder=rec
-        ).run(until=deadline_s)
-
-        replicas = decode_pool.replicas
-        transfers = link.records
-        makespan = max(
-            [r.clock for r in replicas]
-            + [t.done_s for t in transfers]
-            + [t.ready_s for t in transfers]
-        )
-        finished: list[Request] = []
-        for replica in replicas:
-            finished.extend(replica.scheduler.finished)
-        finished.sort(key=lambda r: r.request_id)
+        for req in sorted(requests, key=lambda r: (r.arrival_s, r.request_id)):
+            if rec is not None:
+                rec.on_arrival(req, track=cell.prefill.name)
+            cell.deliver(req)
+        EventKernel(list(cell.stages), recorder=rec).run(until=deadline_s)
+        makespan = cell.clock
+        finished = sorted(cell.finished, key=lambda r: r.request_id)
         finished_ids = {r.request_id for r in finished}
-        unfinished = [
-            r for r in requests if r.request_id not in finished_ids
-        ]
-        pools = (
-            PoolStats.from_busy(
-                "prefill", prefill.busy, makespan,
-                n_steps=prefill.n_prefills,
-                stall_s=prefill.stall_s,
-            ),
-            PoolStats.from_busy(
-                "decode",
-                [r.busy_s for r in replicas],
-                makespan,
-                n_steps=sum(r.n_steps for r in replicas),
-                peak_kv_frac=decode_pool.peak_kv_frac,
-            ),
-        )
+        cache_stats = cell.cache_stats()
         return ContinuousResult.from_run(
             finished,
             makespan_s=makespan,
-            n_steps=prefill.n_prefills + sum(r.n_steps for r in replicas),
-            peak_running=max(r.peak_running for r in replicas),
+            n_steps=cell.n_steps,
+            peak_running=cell.peak_running,
             slo=self.config.slo,
-            n_preemptions=sum(
-                r.scheduler.n_preemptions for r in replicas
-            ),
+            n_preemptions=cell.n_preemptions,
             policy=self.policy.name,
             # The pool runs whatever DisaggConfig.prefill_mode says —
             # the (colocated-only) ServingConfig.prefill_mode does not
             # reshape it; report what actually happened.
-            prefill_mode=disagg.prefill_mode,
+            prefill_mode=self.config.disagg.prefill_mode,
             mode="disaggregated",
-            pools=pools,
-            transfer=TransferStats.from_records(
-                transfers, makespan, self.transfer_ratio,
-                n_links=link.n_links,
-                peak_queue_depth=link.peak_queue_depth,
-            ),
-            unfinished=unfinished,
+            pools=cell.pools(makespan),
+            transfer=cell.transfer(makespan),
+            unfinished=[
+                r for r in requests if r.request_id not in finished_ids
+            ],
             deadline_s=deadline_s,
             prefix_cache=(
-                PrefixCacheStats.merge(cache_stats)
-                if (cache_stats := getattr(
-                    prefill, "cache_stats", lambda: []
-                )())
-                else None
+                PrefixCacheStats.merge(cache_stats) if cache_stats else None
             ),
             telemetry=rec,
         )

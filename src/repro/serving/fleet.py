@@ -14,13 +14,16 @@ fleet=FleetConfig(...))`` through ``InferenceEngine.serve``):
 * :class:`~repro.serving.router.RouterStage` — consumes the arrival
   stream and hands each request to a replica via a registered
   :class:`~repro.serving.router.RoutingPolicy`;
-* N **replicas**, each a full engine instance with its own scheduler
-  and KV cache: a colocated
-  :class:`~repro.serving.serve.ColocatedStage`, or an entire disagg
-  stage-trio (prefill pool → transfer link → decode pool).  Each
-  replica has its *own* :class:`ServingConfig`, so mixed fleets — a
-  few big disagg cells plus cheap colocated spot instances — are
-  expressible (``FleetConfig.instances``);
+* N **cells** (replicas), each a full engine instance with its own
+  scheduler and KV cache, built directly by :class:`FleetCore`: a
+  :class:`~repro.serving.serve.ColocatedStage`, or a
+  :class:`~repro.serving.disagg.DisaggCell` (prefill pool → transfer
+  link → decode pool).  A cell is the router's whole interface —
+  ``deliver``, the occupancy/outstanding signals, per-cell
+  ``ReplicaStats`` — with no adapter in between.  Each cell has its
+  *own* :class:`ServingConfig`, so mixed fleets — a few big disagg
+  cells plus cheap colocated spot instances — are expressible
+  (``FleetConfig.instances``);
 * an optional :class:`AutoscalerStage` — a periodic control loop that
   *activates* standby replicas when the fleet's projected KV occupancy
   crosses the high watermark (or backpressure stall time grows), after
@@ -32,10 +35,10 @@ stack (weights/KV/wire, auto slots, calibration) feeds every replica,
 and replicas sharing a ``cost_bucket`` share one memoized cost model —
 a 4-replica fleet warms one step-price cache, not four.
 
-Fast-forward correctness: a colocated replica's decode window may not
-overshoot an arrival the router has not delivered yet, so each replica
+Fast-forward correctness: a colocated cell's decode window may not
+overshoot an arrival the router has not delivered yet, so each cell
 caps its window at :meth:`RouterStage.next_arrival_s` (the fleet twin
-of the disagg upstream-horizon cap); disagg replicas get the router
+of the disagg upstream-horizon cap); disagg cells get the router
 appended to their decode pool's upstream set.  Conservation — every
 offered request is finished, in flight, or still queued somewhere, and
 ``sum(per-replica finished) == fleet finished`` — is tested in
@@ -48,22 +51,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigError
-from ..utils import ceil_div
 from .costs import StepCostModel, maybe_memoize
-from .disagg import (
-    ChunkedPrefillPoolStage,
-    DecodePoolStage,
-    PrefillPoolStage,
-    TransferLinkStage,
-    resolve_transfer_ratio,
-)
+from .disagg import DisaggCell
 from .kernel import EventKernel, Stage
-from .kvcache import KVCacheSpec, PagedKVCache
-from .metrics import ContinuousResult, PoolStats, ReplicaStats, TransferStats
+from .kvcache import KVCacheSpec
+from .metrics import ContinuousResult
 from .prefixcache import PrefixCacheStats
 from .router import RouterConfig, RouterStage, get_routing_policy
-from .scheduler import ContinuousBatchScheduler, Request, get_policy
-from .serve import ColocatedStage, ServingConfig, build_prefix_cache
+from .scheduler import Request, get_policy
+from .serve import ColocatedStage, ServingConfig
 from .telemetry import build_recorder
 
 __all__ = [
@@ -207,7 +203,11 @@ class FleetConfig:
         was built with — and ``prefix_cache`` to any instance that does
         not set its own (every replica carves a private cache; a fleet
         of N replicas holds N independent prefix caches, which is why
-        ``session_affinity`` routing changes fleet hit rates).
+        ``session_affinity`` routing changes fleet hit rates).  A
+        group-prefill disagg instance skips the fleet-level cache; one
+        that sets its own is rejected when its :class:`DisaggCell` is
+        built, exactly as
+        :class:`~repro.serving.disagg.DisaggregatedCore` rejects it.
         """
         if self.instances:
             base = self.instances
@@ -246,343 +246,6 @@ class FleetConfig:
                 updates["prefix_cache"] = outer.prefix_cache
             resolved.append(replace(cfg, **updates) if updates else cfg)
         return tuple(resolved)
-
-
-class _SignalKVCache(PagedKVCache):
-    """A KV cache that retires router block commitments on allocation.
-
-    The router commits a request's landing footprint at the routing
-    instant (so ``least_kv_occupancy`` sees queued work before any KV
-    is allocated); the first real allocation for that sequence retires
-    the commitment — after which the live block ledger carries the
-    signal.  Re-allocations after preemption find nothing to retire.
-    """
-
-    def __init__(self, spec, capacity_bytes, on_allocate) -> None:
-        super().__init__(spec, capacity_bytes)
-        self._on_allocate = on_allocate
-
-    def allocate(self, seq_id: int, n_tokens: int) -> None:
-        self._on_allocate(seq_id)
-        super().allocate(seq_id, n_tokens)
-
-
-class _ColocatedReplica:
-    """One fleet replica wrapping a colocated engine stage."""
-
-    mode = "colocated"
-
-    def __init__(
-        self,
-        index: int,
-        costs: StepCostModel,
-        kv_spec: KVCacheSpec,
-        kv_bytes: float,
-        config: ServingConfig,
-        recorder=None,
-    ):
-        self.index = index
-        self.config = config
-        # Each replica carves a *private* prefix cache out of its own
-        # KV budget — sessions only hit where their finished turns
-        # landed, which is what makes routing policy show up in fleet
-        # hit rates.
-        self.prefix_cache, batch_bytes = build_prefix_cache(
-            config, kv_spec, kv_bytes, costs
-        )
-        kv = _SignalKVCache(
-            kv_spec, batch_bytes, self._retire_commitment
-        )
-        self.scheduler = ContinuousBatchScheduler(
-            kv, config.limits, config.policy,
-            prefix_cache=self.prefix_cache,
-        )
-        self.pending: list[Request] = []
-        self.stage = ColocatedStage(
-            costs, self.scheduler, self.pending, config,
-            recorder=recorder,
-        )
-        self.stage.name = f"engine[{index}]"
-        if recorder is not None:
-            # Re-point the tracks the stage derived from its pre-rename
-            # name.
-            self.scheduler.track = self.stage.name
-            if self.prefix_cache is not None:
-                self.prefix_cache.telemetry = recorder
-                self.prefix_cache.track = f"{self.stage.name}/cache"
-        self._block_size = kv_spec.block_size
-        self._committed: dict[int, int] = {}
-        self._committed_blocks = 0
-        self.n_routed = 0
-        #: When this replica (became / will become) active; ``None`` =
-        #: standby or drained.  Set by the core and the autoscaler.
-        self.active_since: float | None = None
-
-    # -- router surface -------------------------------------------------
-    @property
-    def stages(self) -> tuple[Stage, ...]:
-        return (self.stage,)
-
-    @property
-    def entry_stage(self) -> Stage:
-        return self.stage
-
-    def attach_router(self, router: RouterStage) -> None:
-        self.stage.horizon = router.next_arrival_s
-
-    def is_active(self, now: float) -> bool:
-        return self.active_since is not None and self.active_since <= now
-
-    def deliver(self, req: Request) -> None:
-        # The router routes in arrival order, so appending keeps the
-        # replica's pending queue sorted — the ColocatedStage contract.
-        self.pending.append(req)
-        self.n_routed += 1
-        blocks = ceil_div(req.prompt_len, self._block_size)
-        self._committed[req.request_id] = blocks
-        self._committed_blocks += blocks
-
-    def _retire_commitment(self, seq_id: int) -> None:
-        blocks = self._committed.pop(seq_id, None)
-        if blocks is not None:
-            self._committed_blocks -= blocks
-
-    # -- routing signals ------------------------------------------------
-    @property
-    def n_outstanding(self) -> int:
-        return self.n_routed - len(self.scheduler.finished)
-
-    def kv_occupancy(self) -> float:
-        """Projected block occupancy: allocated + router-committed."""
-        kv = self.scheduler.kv
-        return (kv.used_blocks + self._committed_blocks) / max(
-            kv.n_blocks, 1
-        )
-
-    stall_s = 0.0
-
-    # -- result surface -------------------------------------------------
-    @property
-    def finished(self) -> list[Request]:
-        return self.scheduler.finished
-
-    @property
-    def clock_s(self) -> float:
-        return self.stage.clock
-
-    @property
-    def n_steps(self) -> int:
-        return self.stage.n_steps
-
-    @property
-    def peak_running(self) -> int:
-        return self.stage.peak_running
-
-    @property
-    def n_preemptions(self) -> int:
-        return self.scheduler.n_preemptions
-
-    def cache_stats(self) -> list[PrefixCacheStats]:
-        if self.prefix_cache is None:
-            return []
-        return [self.prefix_cache.stats()]
-
-    def stats(self, makespan_s: float) -> ReplicaStats:
-        pool = PoolStats.from_busy(
-            f"replica{self.index}/engine", [self.stage.busy_s],
-            makespan_s, n_steps=self.stage.n_steps,
-            peak_kv_frac=self.stage.peak_kv_frac,
-        )
-        return ReplicaStats(
-            index=self.index,
-            mode=self.mode,
-            n_routed=self.n_routed,
-            n_finished=len(self.finished),
-            n_unfinished=self.n_outstanding,
-            pools=(pool,),
-        )
-
-
-class _DisaggReplica:
-    """One fleet replica wrapping a full disaggregated stage-trio."""
-
-    mode = "disaggregated"
-
-    def __init__(
-        self,
-        index: int,
-        costs: StepCostModel,
-        kv_spec: KVCacheSpec,
-        kv_bytes: float,
-        config: ServingConfig,
-        recorder=None,
-    ):
-        self.index = index
-        self.config = config
-        self.transfer_ratio = resolve_transfer_ratio(config)
-        self.decode_pool = DecodePoolStage(
-            costs, kv_spec, kv_bytes, config, recorder=recorder
-        )
-        self.link = TransferLinkStage(
-            config, kv_spec, self.transfer_ratio, self.decode_pool,
-            recorder=recorder,
-        )
-        if config.disagg.prefill_mode == "chunked":
-            self.prefill: Stage = ChunkedPrefillPoolStage(
-                [], costs, kv_spec, kv_bytes, config,
-                self.link, self.decode_pool, recorder=recorder,
-            )
-        else:
-            self.prefill = PrefillPoolStage(
-                [], costs, config, self.link, self.decode_pool,
-                recorder=recorder,
-            )
-        for stage, label in (
-            (self.prefill, "prefill"),
-            (self.link, "transfer"),
-            (self.decode_pool, "decode"),
-        ):
-            stage.name = f"{label}[{index}]"
-        if recorder is not None:
-            # Re-derive track names from the replica-qualified stage
-            # names (the link reads its name lazily at emit time).
-            attach = getattr(self.prefill, "attach_recorder", None)
-            if attach is not None:
-                attach(recorder)
-            else:
-                self.prefill.gate.track = self.prefill.name
-            self.decode_pool.attach_recorder(recorder)
-        self.n_routed = 0
-        self.active_since: float | None = None
-        self._chunked = config.disagg.prefill_mode == "chunked"
-
-    # -- router surface -------------------------------------------------
-    @property
-    def stages(self) -> tuple[Stage, ...]:
-        return (self.prefill, self.link, self.decode_pool)
-
-    @property
-    def entry_stage(self) -> Stage:
-        return self.prefill
-
-    def attach_router(self, router: RouterStage) -> None:
-        self.decode_pool.set_upstream(self.prefill, self.link, router)
-
-    def is_active(self, now: float) -> bool:
-        return self.active_since is not None and self.active_since <= now
-
-    def deliver(self, req: Request) -> None:
-        # Arrival-ordered append, matching both pool flavours' pending
-        # contract (they pop arrivals from the front in order).
-        self.prefill.pending.append(req)
-        self.n_routed += 1
-
-    # -- routing signals ------------------------------------------------
-    @property
-    def n_outstanding(self) -> int:
-        return self.n_routed - self.n_finished
-
-    def _queued_requests(self) -> list[Request]:
-        """Requests routed here whose KV is not yet committed downstream."""
-        queued = list(self.prefill.pending)
-        if self._chunked:
-            for rep in self.prefill.replicas:
-                queued += [r for _, _, r in rep.pending]
-                queued += list(rep.scheduler.waiting)
-        else:
-            queued += list(self.prefill.waiting)
-        return queued
-
-    def kv_occupancy(self) -> float:
-        """Projected decode-pool occupancy, queue included.
-
-        ``projected_free_frac`` already counts blocks committed by
-        started/admitted prefills; folding the not-yet-committed queue
-        in as ``extra_blocks`` makes a backlogged cell look as full as
-        it is about to be.
-        """
-        extra = sum(
-            self.decode_pool.blocks_for(r) for r in self._queued_requests()
-        )
-        return 1.0 - self.decode_pool.projected_free_frac(extra)
-
-    @property
-    def stall_s(self) -> float:
-        return self.prefill.stall_s
-
-    # -- result surface -------------------------------------------------
-    @property
-    def n_finished(self) -> int:
-        return sum(
-            len(r.scheduler.finished) for r in self.decode_pool.replicas
-        )
-
-    @property
-    def finished(self) -> list[Request]:
-        out: list[Request] = []
-        for rep in self.decode_pool.replicas:
-            out.extend(rep.scheduler.finished)
-        return out
-
-    @property
-    def clock_s(self) -> float:
-        times = [r.clock for r in self.decode_pool.replicas]
-        times += [t.done_s for t in self.link.records]
-        times += [t.ready_s for t in self.link.records]
-        return max(times, default=0.0)
-
-    @property
-    def n_steps(self) -> int:
-        return self.prefill.n_prefills + sum(
-            r.n_steps for r in self.decode_pool.replicas
-        )
-
-    @property
-    def peak_running(self) -> int:
-        return max(
-            (r.peak_running for r in self.decode_pool.replicas), default=0
-        )
-
-    @property
-    def n_preemptions(self) -> int:
-        return sum(
-            r.scheduler.n_preemptions for r in self.decode_pool.replicas
-        )
-
-    def cache_stats(self) -> list[PrefixCacheStats]:
-        # Only the chunked prefill pool carries prefix caches.
-        return getattr(self.prefill, "cache_stats", lambda: [])()
-
-    def stats(self, makespan_s: float) -> ReplicaStats:
-        pools = (
-            PoolStats.from_busy(
-                f"replica{self.index}/prefill", self.prefill.busy,
-                makespan_s, n_steps=self.prefill.n_prefills,
-                stall_s=self.prefill.stall_s,
-            ),
-            PoolStats.from_busy(
-                f"replica{self.index}/decode",
-                [r.busy_s for r in self.decode_pool.replicas],
-                makespan_s,
-                n_steps=sum(
-                    r.n_steps for r in self.decode_pool.replicas
-                ),
-                peak_kv_frac=self.decode_pool.peak_kv_frac,
-            ),
-        )
-        return ReplicaStats(
-            index=self.index,
-            mode=self.mode,
-            n_routed=self.n_routed,
-            n_finished=self.n_finished,
-            n_unfinished=self.n_outstanding,
-            pools=pools,
-            transfer=TransferStats.from_records(
-                self.link.records, makespan_s, self.transfer_ratio,
-                n_links=self.link.n_links,
-                peak_queue_depth=self.link.peak_queue_depth,
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -743,15 +406,11 @@ class FleetCore:
             self._memoized[bucket] = maybe_memoize(self.costs, bucket)
         return self._memoized[bucket]
 
-    def _build_replica(self, index: int, cfg: ServingConfig, recorder=None):
-        costs = self._costs_for(cfg.cost_bucket)
-        cls = (
-            _DisaggReplica if cfg.mode == "disaggregated"
-            else _ColocatedReplica
-        )
+    def _build_cell(self, index: int, cfg: ServingConfig, recorder=None):
+        cls = DisaggCell if cfg.mode == "disaggregated" else ColocatedStage
         return cls(
-            index, costs, self.kv_spec, self.kv_bytes, cfg,
-            recorder=recorder,
+            self._costs_for(cfg.cost_bucket), self.kv_spec, self.kv_bytes,
+            cfg, recorder=recorder, index=index,
         )
 
     # ------------------------------------------------------------------
@@ -774,7 +433,7 @@ class FleetCore:
         fleet = self.config.fleet
         instance_configs = fleet.resolve_instances(self.config)
         replicas = [
-            self._build_replica(i, cfg, recorder=rec)
+            self._build_cell(i, cfg, recorder=rec)
             for i, cfg in enumerate(instance_configs)
         ]
         router = RouterStage(
@@ -817,7 +476,7 @@ class FleetCore:
         unfinished = [
             r for r in requests if r.request_id not in done_ids
         ]
-        makespan = max((r.clock_s for r in replicas), default=0.0)
+        makespan = max((r.clock for r in replicas), default=0.0)
         stats = tuple(r.stats(makespan) for r in replicas)
         cache_stats = [
             s for replica in replicas for s in replica.cache_stats()

@@ -374,7 +374,7 @@ class RouterStage(Stage):
             if self._rec is not None:
                 self._rec.on_route(req, now, replica.index)
         for replica in touched:
-            replica.entry_stage.notify()
+            replica.notify()
 
     def finish(self) -> None:
         if self.n_unrouted:

@@ -27,11 +27,17 @@ decode pool joined by a KV-transfer link whose cost and codec live in
 :class:`DisaggConfig`.
 
 Both topologies run on the shared event kernel
-(:mod:`repro.serving.kernel`): the colocated loop is a single
-:class:`~repro.serving.kernel.Stage` whose per-event body is exactly one
-iteration of the historical clock loop, so the kernel refactor moved no
-timestamps; the disaggregated topology is three cooperating stages with
-optional decode→prefill backpressure (:class:`BackpressureConfig`).
+(:mod:`repro.serving.kernel`) and share one engine iteration:
+:class:`EngineReplica` owns an engine's scheduler, prefix cache, pending
+heap, clock and counters, and its :meth:`~EngineReplica.step` is the one
+chunked iteration every engine runs — the colocated engine
+(:class:`ColocatedStage`, a single :class:`~repro.serving.kernel.Stage`
+whose per-event body is exactly one iteration of the historical clock
+loop) and the disaggregated prefill and decode replicas, which override
+only admission, idling and the post-step hook.  The disaggregated
+topology is three cooperating stages with optional decode→prefill
+backpressure (:class:`BackpressureConfig`).  A :class:`ColocatedStage`
+is also a fleet *cell*: the unit a router delivers to.
 
 Invariants this layer guarantees (tested in ``tests/test_serving_core.py``
 and ``tests/test_disagg.py``):
@@ -54,6 +60,7 @@ and ``tests/test_disagg.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 
 from ..compression import (
     ACTIVATION_SIGMA,
@@ -66,7 +73,7 @@ from ..utils import ceil_div
 from .costs import StepCostModel, maybe_memoize
 from .kernel import EventKernel, Stage
 from .kvcache import KVCacheSpec, PagedKVCache
-from .metrics import ContinuousResult, SLOTarget
+from .metrics import ContinuousResult, PoolStats, ReplicaStats, SLOTarget
 from .prefixcache import (
     PrefixCache,
     PrefixCacheConfig,
@@ -78,7 +85,6 @@ from .scheduler import (
     RequestState,
     SchedulerLimits,
     SchedulerPolicy,
-    get_policy,
 )
 from .telemetry import TelemetryConfig, build_recorder
 
@@ -450,66 +456,174 @@ def build_prefix_cache(
     return cache, kv_bytes - cache_bytes
 
 
-class ColocatedStage(Stage):
-    """The colocated engine as one event-kernel stage.
+class EngineReplica:
+    """One continuous-batching engine: the iteration every topology runs.
 
-    Each :meth:`advance` performs exactly one iteration of the
-    historical ``ServingCore`` clock loop (group or chunked body), so
-    running it under :class:`~repro.serving.kernel.EventKernel` emits
-    the same float operations in the same order as the pre-kernel
-    hand-rolled ``while`` loop — the bit-compatibility contract of
-    ``run_continuous`` and ``mode="colocated"`` survives the refactor
-    untouched.  As the only stage in its topology, its next event is
-    trivially its own clock.
+    Owns one engine's scheduler, prefix cache (carved out of its KV
+    budget by :func:`build_prefix_cache`), pending heap of
+    ``(arrival_s, request_id, request)``, clock and counters.
+    :meth:`step` is the one chunked-prefill iteration — submit, admit,
+    plan, preempt, cold-tier delay, price, then one step or a
+    fast-forward window, then sample — shared by the colocated engine
+    (:class:`ColocatedStage`) and the disaggregated prefill and decode
+    replicas (:mod:`repro.serving.disagg`).  Subclasses override only
+    where their role differs:
+
+    * :meth:`_admit` — admission; returns whether a gate holds it back;
+    * :meth:`_idle` — an empty plan with nothing pending (raise on
+      stranded work, or quiesce);
+    * :meth:`_after_step` — after each committed step or window segment
+      (sample peak KV occupancy, or hand finished prefills downstream);
+    * :meth:`_step_span` — the telemetry span of a single step.
+
+    ``horizon`` is an optional callable returning the next event this
+    engine cannot see — the router's next undelivered arrival, or the
+    upstream stages' next events for a decode replica.  A fast-forward
+    window may not overshoot it; it is polled after pricing on every
+    step with bucketed costs (``cost_bucket > 0``), the only steps that
+    can open a window.
     """
 
-    name = "engine"
+    #: Whether the engine carves a prefix cache out of its KV budget
+    #: (decode replicas receive their KV over the link: nothing to skip).
+    carves_prefix_cache = True
 
     def __init__(
         self,
+        name: str,
         costs: StepCostModel,
-        scheduler: ContinuousBatchScheduler,
-        pending: list[Request],
+        kv_spec: KVCacheSpec,
+        kv_bytes: float,
         config: ServingConfig,
         recorder=None,
     ):
+        self.name = name
         self.costs = costs
-        self.scheduler = scheduler
-        self.pending = pending
         self.config = config
-        #: Optional :class:`~repro.serving.telemetry.TraceRecorder`;
-        #: also attached to the scheduler so admission/finish events
-        #: carry sim time.  ``None`` leaves every body untouched but
-        #: for dead ``is None`` checks.
-        self._rec = recorder
-        if recorder is not None:
-            scheduler.telemetry = recorder
-            scheduler.track = self.name
+        cache, batch_bytes = (
+            build_prefix_cache(config, kv_spec, kv_bytes, costs)
+            if self.carves_prefix_cache else (None, kv_bytes)
+        )
+        self.prefix_cache = cache
+        self.scheduler = ContinuousBatchScheduler(
+            PagedKVCache(kv_spec, batch_bytes), config.limits,
+            config.policy, prefix_cache=cache,
+        )
+        self.pending: list[tuple[float, int, Request]] = []
         self.clock = 0.0
         self.n_steps = 0
         self.peak_running = 0
-        #: Accumulated compute time and peak KV occupancy — the
-        #: per-replica ``PoolStats`` signals a fleet reports; pure
+        #: Accumulated compute time and peak KV occupancy — pure
         #: accounting, never consulted by the clock arithmetic.
         self.busy_s = 0.0
         self.peak_kv_frac = 0.0
-        #: Optional external fast-forward horizon (set by the fleet
-        #: layer): a side-effect-free callable returning the next event
-        #: this stage cannot see — the router's next undelivered
-        #: arrival.  A decode window may not overshoot it.  ``None``
-        #: (default) keeps the single-engine behaviour bit-exactly.
         self.horizon = None
-        self._body = (
-            self._advance_group if config.prefill_mode == "group"
-            else self._advance_chunked
-        )
+        #: Optional :class:`~repro.serving.telemetry.TraceRecorder`,
+        #: also attached to the scheduler (and cache) so their events
+        #: carry sim time on this engine's lanes.
+        self._rec = recorder
+        if recorder is not None:
+            self.scheduler.telemetry = recorder
+            self.scheduler.track = name
+            if cache is not None:
+                cache.telemetry = recorder
+                # The bare colocated engine keeps its historical lane.
+                cache.track = "cache" if name == "engine" else f"{name}/cache"
 
     # ------------------------------------------------------------------
-    def _sample_kv(self) -> None:
+    def step(self, now: float) -> None:
+        """One scheduling iteration of this engine (kernel time ``now``)."""
+        scheduler, pending, config = self.scheduler, self.pending, self.config
+        rec = self._rec
+        if rec is not None:
+            scheduler._now = self.clock
+        while pending and pending[0][0] <= self.clock:
+            scheduler.submit(heappop(pending)[2])
+        gated = self._admit(now)
+        plan = scheduler.plan_step()
+        if config.preemption and plan.decode:
+            victims = scheduler.ensure_decode_capacity(plan.decode)
+            if victims:
+                plan.drop(victims)
+        if plan.empty:
+            if pending:
+                self.clock = max(self.clock, pending[0][0])
+            else:
+                self._idle(gated)
+            return
+        self.peak_running = max(self.peak_running, len(scheduler.running))
+        if scheduler.prefix_cache is not None:
+            self._charge_cache_delay()
+        breakdown = self.costs.mixed_step(
+            len(plan.decode),
+            max(plan.mean_decode_ctx, 1),
+            plan.n_prefill_seqs,
+            plan.n_prefill_tokens,
+        )
+        bucket = config.cost_bucket
+        next_event = pending[0][0] if pending else None
+        if bucket > 0 and self.horizon is not None:
+            h = self.horizon()
+            if h is not None and (next_event is None or h < next_event):
+                next_event = h
+        k = decode_window_len(
+            scheduler, plan, next_event, self.clock, breakdown.total_s,
+            bucket,
+        )
+        if k > 1:
+            win_start = self.clock
+            self.clock, segments = run_decode_window(
+                scheduler, self.costs, plan, next_event, self.clock,
+                bucket, breakdown.total_s, k,
+                preemption=config.preemption,
+                on_segment=self._after_step,
+            )
+            for step_s, ki in segments:
+                self.busy_s += step_s * ki
+                self.n_steps += ki
+            if rec is not None:
+                # Reconstruct the fast-forwarded window as spans after
+                # the fact — the hot loop itself stays untouched.
+                t = win_start
+                for step_s, ki in segments:
+                    rec.span(t, step_s * ki, "decode", self.name,
+                             args={"steps": ki,
+                                   "batch": len(plan.decode)})
+                    t += step_s * ki
+        else:
+            if rec is not None:
+                self._step_span(plan, breakdown.total_s)
+            self.clock += breakdown.total_s
+            self.busy_s += breakdown.total_s
+            self.n_steps += 1
+            scheduler.apply_step(plan, self.clock)
+            self._after_step()
+        if rec is not None:
+            rec.sample_engine(self.name, self.clock, scheduler)
+
+    # -- override points -----------------------------------------------
+    def _admit(self, now: float) -> bool:
+        """Admit what fits; returns whether a gate holds admission back."""
+        raise NotImplementedError
+
+    def _idle(self, gated: bool) -> None:
+        """Nothing to run and nothing pending: queued work is stranded
+        unless a gate holds it (the gate's owner reports it then)."""
+        if not gated and self.scheduler.has_work:
+            _raise_stranded(self.scheduler)
+
+    def _after_step(self) -> None:
         kv = self.scheduler.kv
         frac = kv.used_blocks / kv.n_blocks
         if frac > self.peak_kv_frac:
             self.peak_kv_frac = frac
+
+    def _step_span(self, plan, step_s: float) -> None:
+        self._rec.span(
+            self.clock, step_s, "step", self.name,
+            args={"decode": len(plan.decode),
+                  "prefill_tokens": plan.n_prefill_tokens},
+        )
 
     def _charge_cache_delay(self) -> None:
         """Charge cold-tier prefix hits' decompress stream to the clock.
@@ -526,6 +640,54 @@ class ColocatedStage(Stage):
             self.clock += delay_s
             self.busy_s += delay_s
 
+
+class ColocatedStage(EngineReplica, Stage):
+    """The colocated engine: one event-kernel stage, and one fleet cell.
+
+    Each :meth:`advance` performs exactly one iteration of the
+    historical ``ServingCore`` clock loop — :meth:`EngineReplica.step`
+    for chunked prefill, the seed-compatible whole-prompt body for group
+    prefill — so the float operations run in the same order as the
+    pre-kernel ``while`` loop.  While it holds work its next event is
+    its own clock.
+
+    A *cell* is one engine instance the fleet router delivers to:
+    ``ServingCore`` runs one bare cell (``index=None``, lane
+    ``engine``); ``FleetCore`` builds cell ``i`` as ``engine[i]``.
+    :meth:`deliver` commits a request's landing footprint so
+    :meth:`kv_occupancy` sees routed work before any KV is allocated;
+    the commitment retires at the request's first admission.
+    """
+
+    mode = "colocated"
+    stall_s = 0.0
+
+    def __init__(
+        self,
+        costs: StepCostModel,
+        kv_spec: KVCacheSpec,
+        kv_bytes: float,
+        config: ServingConfig,
+        recorder=None,
+        index: int | None = None,
+    ):
+        super().__init__(
+            "engine" if index is None else f"engine[{index}]",
+            costs, kv_spec, kv_bytes, config, recorder,
+        )
+        self.index = index
+        self.stages = (self,)
+        self.block_size = kv_spec.block_size
+        self.committed_blocks = 0
+        self.n_routed = 0
+        #: When this cell (became / will become) active; ``None`` =
+        #: standby or drained.  Set by the fleet core and autoscaler.
+        self.active_since: float | None = None
+        self._body = (
+            self._advance_group if config.prefill_mode == "group"
+            else self.step
+        )
+
     # ------------------------------------------------------------------
     def next_event_time(self) -> float | None:
         if not self.pending and not self.scheduler.has_work:
@@ -533,19 +695,30 @@ class ColocatedStage(Stage):
         return self.clock
 
     def advance(self, now: float) -> None:
-        self._body()
+        self._body(now)
 
-    # ------------------------------------------------------------------
-    def _advance_group(self) -> None:
+    def _admit(self, now: float) -> bool:
+        self._retire(self.scheduler.admit(enforce_token_budget=False))
+        return False
+
+    def _retire(self, admitted: list[Request]) -> None:
+        """Retire router commitments at each request's first admission."""
+        for req in admitted:
+            if req.n_preemptions == 0:
+                self.committed_blocks -= ceil_div(
+                    req.prompt_len, self.block_size
+                )
+
+    def _advance_group(self, now: float) -> None:
         """One iteration of the seed-compatible whole-prompt-prefill loop."""
         scheduler, pending = self.scheduler, self.pending
         rec = self._rec
         if rec is not None:
             scheduler._now = self.clock
-            scheduler.track = self.name
-        while pending and pending[0].arrival_s <= self.clock:
-            scheduler.submit(pending.pop(0))
+        while pending and pending[0][0] <= self.clock:
+            scheduler.submit(heappop(pending)[2])
         admitted = scheduler.admit()
+        self._retire(admitted)
         if admitted:
             if scheduler.prefix_cache is not None:
                 self._charge_cache_delay()
@@ -564,10 +737,9 @@ class ColocatedStage(Stage):
                     rec.transition(req, self.clock, "decode")
         if not scheduler.running:
             if pending:
-                self.clock = max(self.clock, pending[0].arrival_s)
-                return
-            if scheduler.has_work:
-                _raise_stranded(scheduler)
+                self.clock = max(self.clock, pending[0][0])
+            else:
+                self._idle(False)
             return
         if self.config.preemption:
             if rec is not None:
@@ -592,86 +764,62 @@ class ColocatedStage(Stage):
                 req.finish_s = self.clock
                 if rec is not None:
                     rec.on_finish(req, self.clock, self.name)
-        self._sample_kv()
+        self._after_step()
         if rec is not None:
             rec.sample_engine(self.name, self.clock, scheduler)
 
-    # ------------------------------------------------------------------
-    def _advance_chunked(self) -> None:
-        """One iteration of the chunked-prefill co-scheduling loop."""
-        scheduler, pending = self.scheduler, self.pending
-        rec = self._rec
-        if rec is not None:
-            scheduler._now = self.clock
-            scheduler.track = self.name
-        while pending and pending[0].arrival_s <= self.clock:
-            scheduler.submit(pending.pop(0))
-        scheduler.admit(enforce_token_budget=False)
-        plan = scheduler.plan_step()
-        if self.config.preemption and plan.decode:
-            victims = scheduler.ensure_decode_capacity(plan.decode)
-            if victims:
-                plan.drop(victims)
-        if plan.empty:
-            if pending:
-                self.clock = max(self.clock, pending[0].arrival_s)
-                return
-            if scheduler.has_work:
-                _raise_stranded(scheduler)
-            return
-        self.peak_running = max(self.peak_running, len(scheduler.running))
-        if scheduler.prefix_cache is not None:
-            self._charge_cache_delay()
-        breakdown = self.costs.mixed_step(
-            len(plan.decode),
-            max(plan.mean_decode_ctx, 1),
-            plan.n_prefill_seqs,
-            plan.n_prefill_tokens,
+    # -- router surface -------------------------------------------------
+    def attach_router(self, router) -> None:
+        self.horizon = router.next_arrival_s
+
+    def is_active(self, now: float) -> bool:
+        return self.active_since is not None and self.active_since <= now
+
+    def deliver(self, req: Request) -> None:
+        """Queue a routed request and commit its landing footprint."""
+        heappush(self.pending, (req.arrival_s, req.request_id, req))
+        self.n_routed += 1
+        self.committed_blocks += ceil_div(req.prompt_len, self.block_size)
+
+    @property
+    def n_outstanding(self) -> int:
+        return self.n_routed - len(self.scheduler.finished)
+
+    def kv_occupancy(self) -> float:
+        """Projected block occupancy: allocated + router-committed."""
+        kv = self.scheduler.kv
+        return (kv.used_blocks + self.committed_blocks) / max(
+            kv.n_blocks, 1
         )
-        next_event = pending[0].arrival_s if pending else None
-        if self.horizon is not None:
-            h = self.horizon()
-            if h is not None and (next_event is None or h < next_event):
-                next_event = h
-        k = decode_window_len(
-            scheduler, plan, next_event,
-            self.clock, breakdown.total_s, self.config.cost_bucket,
+
+    # -- result surface -------------------------------------------------
+    @property
+    def finished(self) -> list[Request]:
+        return self.scheduler.finished
+
+    @property
+    def n_preemptions(self) -> int:
+        return self.scheduler.n_preemptions
+
+    def cache_stats(self) -> list:
+        """This cell's prefix-cache counters (empty when cache off)."""
+        cache = self.prefix_cache
+        return [] if cache is None else [cache.stats()]
+
+    def stats(self, makespan_s: float) -> ReplicaStats:
+        """The cell's fleet row: routing counts and its one engine pool."""
+        pool = PoolStats.from_busy(
+            f"replica{self.index}/engine", [self.busy_s], makespan_s,
+            n_steps=self.n_steps, peak_kv_frac=self.peak_kv_frac,
         )
-        if k > 1:
-            win_start = self.clock
-            self.clock, segments = run_decode_window(
-                scheduler, self.costs, plan, next_event, self.clock,
-                self.config.cost_bucket, breakdown.total_s, k,
-                preemption=self.config.preemption,
-                on_segment=self._sample_kv,
-            )
-            for step_s, ki in segments:
-                self.busy_s += step_s * ki
-                self.n_steps += ki
-            if rec is not None:
-                # Reconstruct the fast-forwarded window as spans after
-                # the fact — the hot loop itself stays untouched.
-                t = win_start
-                for step_s, ki in segments:
-                    rec.span(t, step_s * ki, "decode", self.name,
-                             args={"steps": ki,
-                                   "batch": len(plan.decode)})
-                    t += step_s * ki
-                rec.sample_engine(self.name, self.clock, scheduler)
-        else:
-            if rec is not None:
-                rec.span(
-                    self.clock, breakdown.total_s, "step", self.name,
-                    args={"decode": len(plan.decode),
-                          "prefill_tokens": plan.n_prefill_tokens},
-                )
-            self.clock += breakdown.total_s
-            self.busy_s += breakdown.total_s
-            self.n_steps += 1
-            scheduler.apply_step(plan, self.clock)
-            self._sample_kv()
-            if rec is not None:
-                rec.sample_engine(self.name, self.clock, scheduler)
+        return ReplicaStats(
+            index=self.index,
+            mode=self.mode,
+            n_routed=self.n_routed,
+            n_finished=len(self.finished),
+            n_unfinished=self.n_outstanding,
+            pools=(pool,),
+        )
 
 
 class ServingCore:
@@ -719,27 +867,19 @@ class ServingCore:
         if not requests:
             raise ConfigError("serve needs at least one request")
         rec = build_recorder(self.config.telemetry)
-        cache, batch_bytes = build_prefix_cache(
-            self.config, self.kv_spec, self.kv_bytes, self.costs
-        )
-        if rec is not None and cache is not None:
-            cache.telemetry = rec
-        kv = PagedKVCache(self.kv_spec, batch_bytes)
-        scheduler = ContinuousBatchScheduler(
-            kv, self.config.limits, self.config.policy,
-            prefix_cache=cache,
-        )
-        pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        if rec is not None:
-            for req in pending:
-                rec.on_arrival(req, track="engine")
         stage = ColocatedStage(
-            self.costs, scheduler, pending, self.config, recorder=rec
+            self.costs, self.kv_spec, self.kv_bytes, self.config,
+            recorder=rec,
         )
+        for req in sorted(requests, key=lambda r: (r.arrival_s, r.request_id)):
+            if rec is not None:
+                rec.on_arrival(req, track=stage.name)
+            stage.deliver(req)
         EventKernel([stage], recorder=rec).run(until=deadline_s)
+        scheduler, cache = stage.scheduler, stage.prefix_cache
         unfinished = (
-            list(stage.pending) + list(scheduler.waiting)
-            + list(scheduler.running)
+            [req for *_, req in sorted(stage.pending)]
+            + scheduler.waiting + scheduler.running
         )
         return ContinuousResult.from_run(
             scheduler.finished,
@@ -767,10 +907,11 @@ def decode_window_len(
 ) -> int:
     """Steps the current decode-only plan can repeat unchanged.
 
-    Shared by the colocated core and the disaggregated decode replicas.
-    Only meaningful with bucketed costs (``bucket > 0``): inside a
-    context bucket every decode step of a stable batch prices
-    identically, so a loop may advance ``k`` steps in one shot.  The
+    Called only by :meth:`EngineReplica.step`, the one engine iteration
+    of every topology.  Only meaningful with bucketed costs
+    (``bucket > 0``): inside a context bucket every decode step of a
+    stable batch prices identically, so a loop may advance ``k`` steps
+    in one shot.  The
     window ends at the first event that would change the plan or its
     price: a request finishing, the next external event (an arrival, or
     a KV landing on a decode replica) at ``next_event_s``, the mean
@@ -854,7 +995,7 @@ def run_decode_window(
     first_step_s: float,
     first_k: int,
     preemption: bool,
-    on_segment=None,
+    on_segment,
 ) -> tuple[float, list[tuple[float, int]]]:
     """Advance the widest fast-forward window: chained bucketed segments.
 
@@ -902,9 +1043,9 @@ def run_decode_window(
     Returns ``(new_clock, segments)`` with one ``(step_s, k)`` tuple per
     committed segment, so callers replicate the stepwise float
     accumulation into their own counters (``busy_s``, ``n_steps``).
-    ``on_segment`` (if given) runs after each segment's commit —
-    occupancy sampling hooks, which must see every segment, not just
-    the window end.
+    ``on_segment`` runs after each segment's commit — the engine's
+    post-step hook, whose occupancy sampling must see every segment, not
+    just the window end.
     """
     segments: list[tuple[float, int]] = []
     decode = plan.decode
@@ -924,8 +1065,7 @@ def run_decode_window(
         min_rem -= k
         commit_decode_window(scheduler, decode, ids, k, clock, min_rem <= 0)
         plan.decode_ctx_sum += batch * k
-        if on_segment is not None:
-            on_segment()
+        on_segment()
         if min_rem <= 0:
             break
         if next_event_s is not None and next_event_s <= clock:

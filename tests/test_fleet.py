@@ -13,7 +13,10 @@ The invariants that make a fleet simulation trustworthy:
 * **safety** — the autoscaler never drains a replica with in-flight
   work, and scale-ups respect the warm-up delay;
 * **equivalence** — a 1-replica round-robin fleet is the colocated
-  engine, bit for bit.
+  engine, bit for bit, and (on the configs where it holds) the
+  disaggregated one;
+* **signals** — every cell's ``kv_occupancy`` counter equals a recount
+  from its queues at every routing decision.
 """
 
 import pytest
@@ -26,6 +29,7 @@ from repro.serving import (
     ROUTING_POLICIES,
     AutoscalerConfig,
     AutoscalerStage,
+    ChunkedPrefillPoolStage,
     DisaggConfig,
     FleetConfig,
     FleetCore,
@@ -39,14 +43,17 @@ from repro.serving import (
     find_knee,
     get_backend,
     get_model,
+    get_profile,
     get_routing_policy,
     goodput_feasible,
     list_routing_policies,
     multi_tenant_trace,
+    open_loop_arrivals,
     poisson_trace,
     register_routing_policy,
     run_open_loop,
 )
+from repro.utils import ceil_div
 
 LIMITS = SchedulerLimits(max_num_seqs=16, max_batched_tokens=8192)
 BUILTINS = (
@@ -201,6 +208,129 @@ class TestRouting:
             colocated.timings, key=key
         )
         assert fleet.n_steps == colocated.n_steps
+
+    @pytest.mark.parametrize(("prefill_mode", "link_topology", "bucket"), [
+        ("group", "shared", 0),
+        ("group", "per_replica", 0),
+        ("chunked", "shared", 0),
+        ("chunked", "per_replica", 0),
+        ("chunked", "shared", 64),
+        ("chunked", "per_replica", 64),
+    ])
+    def test_one_cell_fleet_is_the_disaggregated_engine(
+        self, engine, prefill_mode, link_topology, bucket
+    ):
+        """A disagg cell behind a 1-replica router is ``DisaggregatedCore``.
+
+        Two prefill and two decode replicas on a starved 0.125 GB/s
+        ``kvcomp`` link.  These are the six configs of the
+        {prefill mode} × {link} × {cost bucket} × {backpressure} product
+        where this holds; bucketed group prefill and every backpressure
+        config still differ behind a router (window boundaries and poll
+        order).  ROADMAP.md's plumbing-invariance item owns those ten.
+        """
+        cell = ServingConfig(
+            mode="disaggregated", limits=LIMITS, cost_bucket=bucket,
+            disagg=DisaggConfig(
+                prefill_replicas=2, decode_replicas=2,
+                link_gb_per_s=0.125, transfer_codec="kvcomp",
+                link_topology=link_topology, prefill_mode=prefill_mode,
+            ),
+        )
+        trace = lambda: poisson_trace(300, 20.0, seed=3)  # noqa: E731
+        core = engine.serve(trace(), config=cell)
+        fleet = engine.serve(trace(), config=ServingConfig(
+            mode="fleet", prefill_mode="chunked", limits=LIMITS,
+            cost_bucket=bucket,
+            fleet=FleetConfig(
+                n_replicas=1, routing="round_robin", instance=cell
+            ),
+        ))
+        assert fleet.makespan_s == core.makespan_s
+        assert fleet.n_steps == core.n_steps
+        key = lambda t: t.request_id  # noqa: E731
+        assert sorted(fleet.timings, key=key) == sorted(
+            core.timings, key=key
+        )
+        assert fleet.replicas[0].transfer.records == core.transfer.records
+
+
+# ----------------------------------------------------------------------
+# Routing signals: the cells' running counters equal a queue recount
+# ----------------------------------------------------------------------
+def _recount_occupancy(cell, block_size: int) -> float:
+    """A cell's projected KV occupancy, recounted from its queues."""
+    blocks = lambda reqs: sum(  # noqa: E731
+        ceil_div(r.prompt_len, block_size) for r in reqs
+    )
+    if cell.mode == "colocated":
+        # Allocated blocks, plus the footprint of every routed request
+        # that was never admitted (still pending, or waiting with no
+        # preemption behind it).
+        scheduler = cell.scheduler
+        queued = [r for *_, r in cell.pending] + [
+            r for r in scheduler.waiting if r.n_preemptions == 0
+        ]
+        return (scheduler.kv.used_blocks + blocks(queued)) / max(
+            scheduler.kv.n_blocks, 1
+        )
+    # Disagg: the decode pool's projection with every request the
+    # prefill side has not yet committed folded in.
+    prefill = cell.prefill
+    queued = list(prefill.pending)
+    if isinstance(prefill, ChunkedPrefillPoolStage):
+        for replica in prefill.replicas:
+            queued += [r for *_, r in replica.pending]
+            queued += replica.scheduler.waiting
+    else:
+        queued += prefill.waiting
+    return 1.0 - cell.decode_pool.projected_free_frac(blocks(queued))
+
+
+class _RecountingPolicy(LeastKVOccupancyPolicy):
+    """``least_kv_occupancy`` that checks every signal it reads."""
+
+    def __init__(self, block_size: int) -> None:
+        super().__init__()
+        self.block_size = block_size
+        self.n_checked = 0
+
+    def select(self, req, active, now):
+        for cell in active:
+            assert cell.kv_occupancy() == _recount_occupancy(
+                cell, self.block_size
+            ), (cell.index, now)
+            self.n_checked += 1
+        return super().select(req, active, now)
+
+
+class TestRoutingSignals:
+    @pytest.mark.parametrize("kv_frac", (1.0, 0.06))
+    @pytest.mark.parametrize("cell", ("colocated", "group", "chunked"))
+    def test_kv_occupancy_equals_a_recount(self, engine, cell, kv_frac):
+        """Each cell keeps its routing signal in a running counter:
+        blocks committed on delivery, retired at first admission
+        (colocated) or when prefill commits them (disagg).  At every
+        routing decision that counter must equal a recount."""
+        instance = None
+        if cell != "colocated":
+            instance = ServingConfig(
+                mode="disaggregated", limits=LIMITS, cost_bucket=64,
+                disagg=DisaggConfig(
+                    prefill_mode=cell, link_gb_per_s=0.125,
+                    transfer_codec="kvcomp",
+                ),
+            )
+        policy = _RecountingPolicy(engine.kv_spec.block_size)
+        config = fleet_config(n=3, routing=policy, instance=instance)
+        core = FleetCore(
+            engine.costs, engine.kv_spec, kv_frac * engine.plan.kv_bytes,
+            config,
+        )
+        stamps = open_loop_arrivals(12.0, 2.0 * 200 / 12.0, seed=1)[:200]
+        result = core.serve(get_profile("chat").trace(stamps, seed=1))
+        assert result.n_requests == 200
+        assert policy.n_checked == 3 * 200
 
 
 # ----------------------------------------------------------------------

@@ -279,8 +279,13 @@ class TestDisaggCache:
             mode="disaggregated",
             prefix_cache=PrefixCacheConfig(),
         )
-        with pytest.raises(ConfigError, match="chunked"):
-            engine.serve(trace, config=config)
+        # The same cell inside a fleet must raise too, not run cache-less.
+        fleet = ServingConfig(
+            mode="fleet", fleet=FleetConfig(instances=(config, config)),
+        )
+        for config in (config, fleet):
+            with pytest.raises(ConfigError, match="chunked"):
+                engine.serve(trace, config=config)
 
 
 class TestSessionAffinity:
