@@ -534,6 +534,9 @@ class MemoizedStepCostModel:
         self.hits = 0
         self.misses = 0
         self._cache: dict[tuple, StepBreakdown] = {}
+        #: Each cached mixed-step key's ``total_s``, kept beside its
+        #: breakdown: the float table the serving loops price through.
+        self._totals: dict[tuple, float] = {}
         # Per-step-kind [hits, misses]; kinds are the cache-key tags
         # ("d" decode, "p" prefill, "m" mixed).  Global hits/misses stay
         # as the sum for backwards compatibility.
@@ -611,19 +614,21 @@ class MemoizedStepCostModel:
         ) * bucket
         out = np.empty(edges.size, dtype=np.float64)
         stats = self._kind_stats["m"]
-        cache = self._cache
+        totals = self._totals
         for i, b_ctx in enumerate(edges.tolist()):
             key = ("m", batch, b_ctx, 0, 0)
-            found = cache.get(key)
-            if found is not None:
+            total = totals.get(key)
+            if total is not None:
                 self.hits += 1
                 stats[0] += 1
             else:
                 self.misses += 1
                 stats[1] += 1
-                found = self.inner.mixed_step(batch, b_ctx, 0, 0)
-                cache[key] = found
-            out[i] = found.total_s
+                found = self._cache[key] = self.inner.mixed_step(
+                    batch, b_ctx, 0, 0
+                )
+                total = totals[key] = found.total_s
+            out[i] = total
         return out
 
     def decode_step(self, batch: int, ctx: int) -> StepBreakdown:
@@ -642,6 +647,18 @@ class MemoizedStepCostModel:
             lambda: self.inner.prefill_step(batch, b_len),
         )
 
+    def _mixed_key(
+        self, decode_batch: int, decode_ctx: int, prefill_seqs: int,
+        prefill_tokens: int,
+    ) -> tuple:
+        """A mixed step's cache key; its tail is the inner model's query."""
+        b_ctx = _bucket(decode_ctx, self.ctx_bucket) if decode_batch else 0
+        b_tok = (
+            _bucket(prefill_tokens, self.token_bucket)
+            if prefill_tokens else 0
+        )
+        return ("m", decode_batch, b_ctx, prefill_seqs, b_tok)
+
     def mixed_step(
         self,
         decode_batch: int,
@@ -651,16 +668,12 @@ class MemoizedStepCostModel:
     ) -> StepBreakdown:
         """Mixed step with bucketed context and chunk size.
 
-        The serving loops' per-step pricing call, so the cache lookup is
-        inlined (same keys, accounting and copy-on-return as
-        :meth:`_lookup`).
+        The cache lookup is inlined (same keys, accounting and
+        copy-on-return as :meth:`_lookup`).
         """
-        b_ctx = _bucket(decode_ctx, self.ctx_bucket) if decode_batch else 0
-        b_tok = (
-            _bucket(prefill_tokens, self.token_bucket)
-            if prefill_tokens else 0
+        key = self._mixed_key(
+            decode_batch, decode_ctx, prefill_seqs, prefill_tokens
         )
-        key = ("m", decode_batch, b_ctx, prefill_seqs, b_tok)
         found = self._cache.get(key)
         if found is not None:
             self.hits += 1
@@ -668,10 +681,33 @@ class MemoizedStepCostModel:
         else:
             self.misses += 1
             self._mixed_stats[1] += 1
-            found = self._cache[key] = self.inner.mixed_step(
-                decode_batch, b_ctx, prefill_seqs, b_tok
-            )
+            found = self._cache[key] = self.inner.mixed_step(*key[1:])
+            self._totals[key] = found.total_s
         return found.scaled(1.0)
+
+    def mixed_step_s(
+        self,
+        decode_batch: int,
+        decode_ctx: int,
+        prefill_seqs: int,
+        prefill_tokens: int,
+    ) -> float:
+        """``mixed_step(...).total_s`` read from the float table.
+
+        The serving loops' per-step price: same key and hit/miss
+        accounting as :meth:`mixed_step`, without the breakdown copy and
+        the component sum (a miss goes through :meth:`mixed_step`).
+        """
+        total = self._totals.get(self._mixed_key(
+            decode_batch, decode_ctx, prefill_seqs, prefill_tokens
+        ))
+        if total is None:
+            return self.mixed_step(
+                decode_batch, decode_ctx, prefill_seqs, prefill_tokens
+            ).total_s
+        self.hits += 1
+        self._mixed_stats[0] += 1
+        return total
 
 
 def maybe_memoize(costs: StepCostModel, cost_bucket: int) -> StepCostModel:

@@ -726,6 +726,8 @@ class _DecodeReplica(EngineReplica):
         return None
 
     def _admit(self, now: float) -> bool:
+        if not self.scheduler.waiting:
+            return False
         pool, rec = self.pool, self._rec
         for req in self.scheduler.admit(enforce_token_budget=False):
             if req.n_preemptions == 0:

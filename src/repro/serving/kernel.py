@@ -62,6 +62,14 @@ Invariants (tested in ``tests/test_kernel.py``):
   :meth:`Stage.finish` hook runs; stages still holding requests raise
   there (:class:`~repro.errors.CapacityError`), so a backpressure
   deadlock or an unservable request can never be dropped;
+* **inline iterations keep ``until`` and ``now`` exact** — a stage that
+  is its kernel's only stage and owns every future event (the lone
+  colocated engine) may run several of its iterations inside one
+  advance (:func:`~repro.serving.serve.run_decode_window`).  It starts
+  each one only at or before :attr:`EventKernel.until`, and moves
+  :attr:`EventKernel.now` to that start, so the deadline cut and the
+  ``kernel/now`` gauge read as if the kernel had advanced every
+  iteration itself; only the ``kernel/*`` counters see fewer advances;
 * **bit-compatibility** — with exact costs (``cost_bucket=0``),
   backpressure off, a shared link and whole-prompt pool prefill, the
   interleaved schedule reproduces the old sequential simulation's floats
@@ -182,6 +190,8 @@ class EventKernel:
         self.recorder = recorder
         #: The kernel's monotone clock: the latest instant processed.
         self.now = 0.0
+        #: The deadline of the running :meth:`run` (``None``: none).
+        self.until: float | None = None
         # Lazy-invalidation heap state, live only while run() executes.
         self._index: dict[int, int] = {}   # id(stage) -> stage index
         self._dirty: set[int] = set()      # stage indices needing re-poll
@@ -229,6 +239,7 @@ class EventKernel:
         """
         stages = self.stages
         n = len(stages)
+        self.until = until
         cached: list[float | None] = [None] * n
         gen = [0] * n
         heap: list[tuple[float, int, int]] = []

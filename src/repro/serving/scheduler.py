@@ -429,6 +429,23 @@ class ContinuousBatchScheduler:
             self._waiting_dirty = False
         return self.waiting[0]
 
+    def _fits(self, req: Request) -> bool:
+        """Whether ``req`` can be admitted now: a free sequence slot, and
+        KV for its whole context plus one decode block of headroom."""
+        return (
+            len(self.running) < self.limits.max_num_seqs
+            and self.kv.can_allocate(None, req.context_len + 1)
+        )
+
+    def admission_blocked(self) -> bool:
+        """Whether ``admit(enforce_token_budget=False)`` would admit nothing.
+
+        True when the queue is empty or the policy's head does not fit
+        (:meth:`_fits`, the test :meth:`admit` stops at).  Read-only up to
+        the admission-order sort :meth:`admit` would perform itself.
+        """
+        return not self.waiting or not self._fits(self.waiting_head())
+
     def submit(self, request: Request) -> None:
         """Queue a new request."""
         if request.state is not RequestState.WAITING:
@@ -476,16 +493,13 @@ class ContinuousBatchScheduler:
                 break
             head = self.waiting[0]
             restart_len = head.context_len
-            if len(self.running) >= self.limits.max_num_seqs:
+            if not self._fits(head):
                 break
             if (
                 enforce_token_budget
                 and head.n_preemptions == 0
                 and restart_len > budget
             ):
-                break
-            # Reserve context KV plus one decode block of headroom.
-            if not self.kv.can_allocate(None, restart_len + 1):
                 break
             self.waiting.pop(0)
             self.kv.allocate(head.request_id, restart_len)

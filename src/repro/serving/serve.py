@@ -481,7 +481,12 @@ class EngineReplica:
     upstream stages' next events for a decode replica.  A fast-forward
     window may not overshoot it; it is polled after pricing on every
     step with bucketed costs (``cost_bucket > 0``), the only steps that
-    can open a window.
+    can open a window.  ``horizon is None`` promises more: every future
+    arrival already sits in ``pending``.  An engine that is also the
+    only stage of its kernel (``ServingCore``'s engine) then owns all
+    the state its next iteration reads, so :func:`run_decode_window`
+    may replay that iteration inline when its head is a provable no-op
+    (see there).
     """
 
     #: Whether the engine carves a prefix cache out of its KV budget
@@ -500,6 +505,13 @@ class EngineReplica:
         self.name = name
         self.costs = costs
         self.config = config
+        # Per-step price in seconds: the memoized model's float table,
+        # or an exact model's ``mixed_step(...).total_s``.
+        price = getattr(costs, "mixed_step_s", None)
+        if price is None:
+            def price(*shape):
+                return costs.mixed_step(*shape).total_s
+        self._price = price
         cache, batch_bytes = (
             build_prefix_cache(config, kv_spec, kv_bytes, costs)
             if self.carves_prefix_cache else (None, kv_bytes)
@@ -554,7 +566,7 @@ class EngineReplica:
         self.peak_running = max(self.peak_running, len(scheduler.running))
         if scheduler.prefix_cache is not None:
             self._charge_cache_delay()
-        breakdown = self.costs.mixed_step(
+        step_s = self._price(
             len(plan.decode),
             max(plan.mean_decode_ctx, 1),
             plan.n_prefill_seqs,
@@ -567,39 +579,75 @@ class EngineReplica:
             if h is not None and (next_event is None or h < next_event):
                 next_event = h
         k = decode_window_len(
-            scheduler, plan, next_event, self.clock, breakdown.total_s,
-            bucket,
+            scheduler, plan, next_event, self.clock, step_s, bucket,
         )
         if k > 1:
-            win_start = self.clock
-            self.clock, segments = run_decode_window(
-                scheduler, self.costs, plan, next_event, self.clock,
-                bucket, breakdown.total_s, k,
-                preemption=config.preemption,
-                on_segment=self._after_step,
-            )
-            for step_s, ki in segments:
-                self.busy_s += step_s * ki
-                self.n_steps += ki
-            if rec is not None:
-                # Reconstruct the fast-forwarded window as spans after
-                # the fact — the hot loop itself stays untouched.
-                t = win_start
-                for step_s, ki in segments:
-                    rec.span(t, step_s * ki, "decode", self.name,
-                             args={"steps": ki,
-                                   "batch": len(plan.decode)})
-                    t += step_s * ki
-        else:
-            if rec is not None:
-                self._step_span(plan, breakdown.total_s)
-            self.clock += breakdown.total_s
-            self.busy_s += breakdown.total_s
-            self.n_steps += 1
-            scheduler.apply_step(plan, self.clock)
-            self._after_step()
+            # The window closes every iteration it runs, this one too.
+            run_decode_window(self, plan, next_event, step_s, k)
+            return
+        if rec is not None:
+            self._step_span(plan, step_s)
+        self.clock += step_s
+        self.busy_s += step_s
+        self.n_steps += 1
+        scheduler.apply_step(plan, self.clock)
+        self._after_step()
         if rec is not None:
             rec.sample_engine(self.name, self.clock, scheduler)
+
+    def _close_iteration(
+        self, clock: float, segments: list[tuple[float, int]], batch: int,
+        one_step: bool,
+    ) -> None:
+        """End an iteration :func:`run_decode_window` ran, at ``clock``.
+
+        Replicates the stepwise float accumulation into ``busy_s`` and
+        ``n_steps`` segment by segment, reconstructs a window's
+        ``decode`` spans after the fact (a one-step iteration emitted
+        its ``step`` span before its commit), moves the clock and takes
+        the iteration's one engine sample.
+        """
+        rec = self._rec
+        t = self.clock
+        for step_s, k in segments:
+            dt = step_s * k
+            self.busy_s += dt
+            self.n_steps += k
+            if rec is not None and not one_step:
+                rec.span(t, dt, "decode", self.name,
+                         args={"steps": k, "batch": batch})
+                t += dt
+        self.clock = clock
+        if rec is not None:
+            rec.sample_engine(self.name, clock, self.scheduler)
+
+    def _replay_head(self) -> bool:
+        """Run the next iteration's head inline, at ``self.clock``.
+
+        Only within the kernel's deadline: submit the arrivals due now,
+        then report whether admission is a provable no-op — the queue is
+        empty, or the policy keeps its incremental order and its head
+        does not fit (the scheduler's ``admission_blocked``, the
+        predicate ``admit`` itself stops at).  On success the kernel's
+        clock moves to the iteration's start, as if it had advanced
+        this stage there.  On failure the submitted arrivals simply wait
+        for the next kernel advance, whose head finds nothing left to
+        submit.
+        """
+        kernel, clock = self._kernel, self.clock
+        if kernel.until is not None and clock > kernel.until:
+            return False
+        scheduler, pending = self.scheduler, self.pending
+        if self._rec is not None:
+            scheduler._now = clock
+        while pending and pending[0][0] <= clock:
+            scheduler.submit(heappop(pending)[2])
+        if scheduler.waiting and not (
+            scheduler._incremental and scheduler.admission_blocked()
+        ):
+            return False
+        kernel.now = clock
+        return True
 
     # -- override points -----------------------------------------------
     def _admit(self, now: float) -> bool:
@@ -698,7 +746,8 @@ class ColocatedStage(EngineReplica, Stage):
         self._body(now)
 
     def _admit(self, now: float) -> bool:
-        self._retire(self.scheduler.admit(enforce_token_budget=False))
+        if self.scheduler.waiting:
+            self._retire(self.scheduler.admit(enforce_token_budget=False))
         return False
 
     def _retire(self, admitted: list[Request]) -> None:
@@ -924,7 +973,10 @@ def decode_window_len(
     just attempted and blocked, and with no arrivals, finishes or
     frees inside the window the blocker (sequence slots, or free KV
     which only shrinks while decode grows) persists until the window's
-    last step — exactly when the stepwise loop would next admit.
+    last step — exactly when the stepwise loop would next admit.  One
+    exception is kept for bit-compatibility: when the iteration's
+    ``ensure_decode_capacity`` preempted, admission ran before that
+    freed KV, so the window may run past a head that now fits.
     """
     if (
         bucket <= 0
@@ -986,26 +1038,25 @@ def commit_decode_window(
 
 
 def run_decode_window(
-    scheduler: ContinuousBatchScheduler,
-    costs: StepCostModel,
+    engine: EngineReplica,
     plan,
     next_event_s: float | None,
-    clock: float,
-    bucket: int,
-    first_step_s: float,
-    first_k: int,
-    preemption: bool,
-    on_segment,
-) -> tuple[float, list[tuple[float, int]]]:
+    step_s: float,
+    k: int,
+) -> None:
     """Advance the widest fast-forward window: chained bucketed segments.
 
+    Called by :meth:`EngineReplica.step` once :func:`decode_window_len`
+    opened a window of ``k > 1`` steps priced ``step_s``; every
+    iteration run here also closes here
+    (:meth:`EngineReplica._close_iteration`).
     The stepwise simulator pays a full scheduling iteration — arrival
     submit, admission attempt, ``plan_step``, capacity check, step
     pricing — between every pair of :func:`decode_window_len` windows,
     even when each of those is provably a no-op.  This helper chains
     segments inside one stage advance while the no-op proof holds:
 
-    * **no arrivals/landings** — the window never crosses
+    * **no arrivals/landings** — a segment never crosses
       ``next_event_s`` (the caller folds its upstream horizon in), so no
       submits happen and, with no finishes either, admission's blocker
       (sequence slots, or free KV, which only shrinks while decode
@@ -1019,10 +1070,29 @@ def run_decode_window(
       running set (and its order) untouched, so ``plan_step`` would
       rebuild exactly this decode set with contexts one segment older.
 
-    The moment any condition fails the loop breaks *without* committing
-    further work; the next kernel advance then runs the unmodified
-    stepwise body from an identical scheduler state, so breaking early
-    is always bit-safe.
+    **Inline iterations.**  The window's iteration ends where the next
+    arrival is due or the next segment would be a single step (it
+    crosses the next arrival, takes a request's last token, crosses a
+    bucket edge, or is all the KV holds).  An engine with no horizon
+    that is its kernel's only stage — the lone colocated engine, whose
+    future arrivals all sit in ``pending`` — then replays the next
+    iteration inline whenever its head is a provable no-op: it starts
+    within the kernel's deadline, the arrivals due at its start are
+    submitted and nothing is admissible
+    (:meth:`EngineReplica._replay_head`), no request finished, and every
+    sequence can grow by one token.  That head is checked at every
+    boundary, not only at arrivals: a window may open in the iteration
+    whose preemption freed KV the queue head can use.  The replay takes
+    ``k`` from :func:`decode_window_len`'s formula and keeps the price
+    (past a bucket edge, from this window's ``decode_step_batch``
+    table); a one-step iteration is its own ``(step_s, 1)`` segment,
+    committed like ``apply_step`` after its ``step`` span.  Each
+    iteration closes as a kernel-driven one does: ``decode`` spans
+    after a window, then one engine sample before the next head
+    submits.  Any other engine, or a head that is not a no-op, returns
+    to the kernel without committing further work, and the next kernel
+    advance runs the unmodified stepwise body from an identical
+    scheduler state — so stopping early is always bit-safe.
 
     **Scalar window.**  Every request advances by the same ``k`` per
     segment, so the first finish (``min_rem``) and the mean context
@@ -1032,22 +1102,25 @@ def run_decode_window(
 
     **Float discipline**: the clock advances ``step_s * k`` per segment
     — the same ``(step_s, k)`` sequence, in the same order, as the
-    stepwise loop's per-window adds.  ``costs`` is the bucketed model
-    the stage prices with (``maybe_memoize`` at ``bucket > 0``), so a
-    segment that stays inside its context bucket keeps its price, and a
-    segment past a bucket edge reads its price from one
-    ``decode_step_batch`` table over every edge the window can still
-    reach — bitwise equal to the scalar decode-only ``mixed_step`` the
-    stepwise body calls.
-
-    Returns ``(new_clock, segments)`` with one ``(step_s, k)`` tuple per
-    committed segment, so callers replicate the stepwise float
-    accumulation into their own counters (``busy_s``, ``n_steps``).
-    ``on_segment`` runs after each segment's commit — the engine's
-    post-step hook, whose occupancy sampling must see every segment, not
-    just the window end.
+    stepwise loop's per-window adds, replicated into ``busy_s`` and
+    ``n_steps`` when each iteration closes.  ``engine.costs`` is the
+    bucketed model the engine prices with (``maybe_memoize`` at
+    ``cost_bucket > 0``), so a segment that stays inside its context
+    bucket keeps its price, and a segment past a bucket edge reads its
+    price from one ``decode_step_batch`` table over every edge the
+    window can still reach — bitwise equal to the scalar decode-only
+    ``mixed_step`` the stepwise body prices.  The engine's post-step
+    hook runs after each segment's commit: its occupancy sampling must
+    see every segment, not just the window end.
     """
-    segments: list[tuple[float, int]] = []
+    scheduler = engine.scheduler
+    bucket, preemption = engine.config.cost_bucket, engine.config.preemption
+    kernel = getattr(engine, "_kernel", None)
+    replay = (
+        engine.horizon is None
+        and kernel is not None
+        and len(kernel.stages) == 1
+    )
     decode = plan.decode
     batch = len(decode)
     ids = [r.request_id for r in decode]
@@ -1058,21 +1131,24 @@ def run_decode_window(
     # Built on the first bucket-edge crossing: most windows end at the
     # next arrival inside their first bucket and never need it.
     prices: dict[int, float] | None = None
-    step_s, k = first_step_s, first_k
+    clock = engine.clock
+    segments: list[tuple[float, int]] = []
+    one_step = False
     while True:
         clock += step_s * k
         segments.append((step_s, k))
         min_rem -= k
         commit_decode_window(scheduler, decode, ids, k, clock, min_rem <= 0)
         plan.decode_ctx_sum += batch * k
-        on_segment()
+        engine._after_step()
         if min_rem <= 0:
-            break
-        if next_event_s is not None and next_event_s <= clock:
             break
         if scheduler.waiting and not incremental:
             break
-        if preemption and not kv.can_append(ids, 1):
+        if (preemption or replay) and not kv.can_append(ids, 1):
+            break
+        due = next_event_s is not None and next_event_s <= clock
+        if due and not replay:
             break
         mean_ctx = max(plan.mean_decode_ctx, 1)
         if mean_ctx > edge:
@@ -1080,19 +1156,49 @@ def run_decode_window(
             if prices is None:
                 hi = ceil_div(mean_ctx + min_rem, bucket) * bucket
                 edges = list(range(edge, hi + bucket, bucket))
-                prices = dict(
-                    zip(edges, costs.decode_step_batch(batch, edges).tolist())
-                )
+                prices = dict(zip(
+                    edges,
+                    engine.costs.decode_step_batch(batch, edges).tolist(),
+                ))
             step_s = prices[edge]
-        k = min(min_rem, edge - mean_ctx + 1)
-        if next_event_s is not None and step_s > 0:
-            gap = next_event_s - clock
-            k = min(k, max(1, int(gap / step_s)))
-        if k > 1 and not kv.can_append(ids, k):
-            k = 1
-        if k <= 1:
-            # A one-step window must run the stepwise body (its finish
-            # and preemption handling differ); leave it to the next
-            # kernel advance.
-            break
-    return clock, segments
+        # A due arrival or a finished one-step iteration always ends the
+        # iteration; otherwise only a one-step next segment does.
+        boundary = due or one_step
+        if not boundary:
+            k = _segment_len(
+                kv, ids, min(min_rem, edge - mean_ctx + 1), next_event_s,
+                clock, step_s,
+            )
+            if k > 1:
+                continue
+            if not replay:
+                # Other engines leave the one-step segment to the
+                # stepwise body of the next kernel advance.
+                break
+        engine._close_iteration(clock, segments, batch, one_step)
+        segments = []
+        if not engine._replay_head():
+            return
+        if boundary:
+            pending = engine.pending
+            next_event_s = pending[0][0] if pending else None
+            k = _segment_len(
+                kv, ids, min(min_rem, edge - mean_ctx + 1), next_event_s,
+                clock, step_s,
+            )
+        one_step = k == 1
+        if one_step and engine._rec is not None:
+            engine._step_span(plan, step_s)
+    engine._close_iteration(clock, segments, batch, one_step)
+
+
+def _segment_len(kv, ids, k, next_event_s, clock, step_s) -> int:
+    """Cap a window segment of up to ``k`` steps at the next event and at
+    the KV its sequences can still grow into (the tail of
+    :func:`decode_window_len`'s formula)."""
+    if next_event_s is not None and step_s > 0:
+        gap = next_event_s - clock
+        k = min(k, max(1, int(gap / step_s)))
+    if k > 1 and not kv.can_append(ids, k):
+        return 1
+    return k

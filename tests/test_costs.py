@@ -114,6 +114,21 @@ class TestMemoizedCostModel:
         assert a == b
         assert memo.hits == 1 and memo.misses == 1
 
+    def test_float_table_prices_like_mixed_step(self):
+        # The serving loops price through mixed_step_s: bitwise the
+        # breakdown's total, under mixed_step's keys and accounting,
+        # whichever query (scalar, float or batch) filled the entry.
+        memo = MemoizedStepCostModel(model(), ctx_bucket=64, token_bucket=16)
+        ref = MemoizedStepCostModel(model(), ctx_bucket=64, token_bucket=16)
+        for shape in [(8, 100, 1, 100), (8, 120, 1, 110), (8, 100, 0, 0),
+                      (0, 0, 2, 300)]:
+            assert memo.mixed_step_s(*shape) == ref.mixed_step(*shape).total_s
+        assert memo.cache_info() == ref.cache_info()
+        memo.decode_step_batch(8, [200])  # seeds the bucket-256 entry
+        assert (memo.mixed_step_s(8, 250, 0, 0)
+                == memo.mixed_step(8, 250, 0, 0).total_s)
+        assert memo.cache_info()["mixed"]["hits"] == 1 + 2
+
     def test_bucket_validation(self):
         with pytest.raises(ConfigError):
             MemoizedStepCostModel(model(), ctx_bucket=0)

@@ -1,10 +1,15 @@
 """Tests for static-batch and continuous-batching schedulers."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.serving.kvcache import KVCacheSpec, PagedKVCache
 from repro.serving.scheduler import (
+    POLICIES,
     ContinuousBatchScheduler,
     Request,
     RequestState,
@@ -396,3 +401,71 @@ class TestReleaseAndCappedAdmission:
         assert [r.request_id for r in first] == [0]
         rest = sched.admit(enforce_token_budget=False)
         assert [r.request_id for r in rest] == [1, 2, 3, 4]
+
+
+@st.composite
+def admission_states(draw):
+    """A scheduler mid-run: running requests holding KV, and a queue that
+    may hold preempted requests owing their whole context."""
+    limits = SchedulerLimits(
+        max_num_seqs=draw(st.integers(1, 4)),
+        max_batched_tokens=draw(st.integers(1, 64)),
+    )
+    kv = make_kv(n_blocks=draw(st.integers(1, 8)))
+    sched = ContinuousBatchScheduler(
+        kv, limits, draw(st.sampled_from(sorted(POLICIES)))
+    )
+
+    def request(i):
+        req = Request(
+            i, draw(st.integers(1, 64)), draw(st.integers(2, 40)),
+            arrival_s=draw(st.sampled_from((0.0, 0.5, 1.0))),
+            priority=draw(st.integers(0, 2)),
+        )
+        req.generated = draw(st.integers(0, req.max_new_tokens - 1))
+        return req
+
+    n_running = draw(st.integers(0, limits.max_num_seqs))
+    n_waiting = draw(st.integers(0, 4))
+    for i in range(n_running + n_waiting):
+        req = request(i)
+        if i < n_running:
+            if kv.can_allocate(None, req.context_len):
+                kv.allocate(req.request_id, req.context_len)
+                req.state = RequestState.RUNNING
+                sched.running.append(req)
+        elif req.generated and draw(st.booleans()):
+            # A preempted head re-prefills prompt + generated tokens.
+            req.state = RequestState.PREEMPTED
+            req.n_preemptions = 1
+            sched._enqueue_waiting(req)
+        else:
+            req.generated = 0
+            sched.submit(req)
+    return sched
+
+
+class TestAdmissionPredicate:
+    """``admission_blocked`` is the test ``admit`` stops at: inline
+    iteration replay trusts it to prove an admission attempt a no-op."""
+
+    @settings(max_examples=300)
+    @given(admission_states())
+    def test_blocked_exactly_when_admit_admits_nothing(self, sched):
+        expected = sched.admission_blocked()
+        admitted = copy.deepcopy(sched).admit(enforce_token_budget=False)
+        assert expected == (admitted == [])
+
+    def test_preempted_head_needs_its_whole_context(self):
+        # 3 free blocks hold a fresh 32-token prompt (+1 headroom) but
+        # not the same request after 20 generated tokens.
+        sched = ContinuousBatchScheduler(make_kv(n_blocks=3))
+        req = Request(0, 32, 40)
+        sched.submit(req)
+        assert not sched.admission_blocked()
+        sched.admit()
+        req.prefill_remaining = 0
+        req.generated = 20
+        sched.preempt(req)
+        assert sched.admission_blocked()
+        assert sched.admit(enforce_token_budget=False) == []

@@ -179,13 +179,17 @@ class TestFastForward:
         assert late.arrival_s <= late.first_token_s
 
     def test_cache_hits_grow_across_fast_forward_windows(self):
-        # Bucketed serving memoizes step prices; arrivals break decode
-        # windows, and the re-priced windows revisit ctx buckets the
-        # earlier ones already paid for — so hits must accumulate.
+        # Bucketed serving memoizes step prices.  The lone engine
+        # replays no-op iterations inside a window without re-pricing,
+        # so a single burst pays each key once; a second identical
+        # burst after the first drains runs real iterations that
+        # revisit the ctx buckets the first one paid for — so hits
+        # must accumulate.
         c = core(256, prefill_mode="chunked", cost_bucket=64)
         info = c.costs.cache_info()
         assert info["mixed"] == {"hits": 0, "misses": 0, "size": 0}
-        c.serve(reqs([(16, 200, i * 0.01) for i in range(8)]))
+        burst = [(16, 200, i * 0.01) for i in range(8)]
+        c.serve(reqs(burst + [(p, o, 5.0 + a) for p, o, a in burst]))
         info = c.costs.cache_info()
         assert info["mixed"]["hits"] > 0
         assert info["mixed"]["size"] == info["mixed"]["misses"] > 0
