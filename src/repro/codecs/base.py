@@ -67,6 +67,10 @@ class ByteCodec(Protocol):
         """Encode a uint8 array into an :class:`EncodedStream`."""
         ...
 
+    def encode_many(self, arrays) -> list[EncodedStream]:
+        """Encode each uint8 array; equals ``[encode(a) for a in arrays]``."""
+        ...
+
     def decode(self, stream: EncodedStream) -> np.ndarray:
         """Decode back the exact original uint8 array."""
         ...

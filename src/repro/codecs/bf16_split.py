@@ -91,18 +91,27 @@ class BF16LosslessCodec:
 
     def compress(self, weights: np.ndarray) -> CompressedBF16:
         """Compress a BF16 (uint16) tensor losslessly."""
-        weights = np.asarray(weights)
-        if weights.dtype != np.uint16:
+        return self.compress_many([weights])[0]
+
+    def compress_many(self, tensors) -> list[CompressedBF16]:
+        """Compress BF16 (uint16) tensors losslessly; their exponent planes
+        go through the byte codec's ``encode_many`` as one batch."""
+        tensors = [np.asarray(weights) for weights in tensors]
+        if any(weights.dtype != np.uint16 for weights in tensors):
             raise CodecError("weights must be BF16 bit patterns (uint16)")
-        flat = np.ascontiguousarray(weights).ravel()
-        exponents = exponent_field(flat)
-        stream = get_byte_codec(self.byte_codec).encode(exponents)
-        return CompressedBF16(
-            codec=self.name,
-            shape=tuple(weights.shape),
-            exponent_stream=stream,
-            sign_mantissa=pack_sign_mantissa(flat),
+        flats = [np.ascontiguousarray(weights).ravel() for weights in tensors]
+        streams = get_byte_codec(self.byte_codec).encode_many(
+            [exponent_field(flat) for flat in flats]
         )
+        return [
+            CompressedBF16(
+                codec=self.name,
+                shape=tuple(weights.shape),
+                exponent_stream=stream,
+                sign_mantissa=pack_sign_mantissa(flat),
+            )
+            for weights, flat, stream in zip(tensors, flats, streams)
+        ]
 
     def decompress(self, blob: CompressedBF16) -> np.ndarray:
         """Recover the exact BF16 tensor."""

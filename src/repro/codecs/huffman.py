@@ -181,6 +181,10 @@ class HuffmanCodec:
             },
         )
 
+    def encode_many(self, arrays) -> list[EncodedStream]:
+        """Encode each uint8 array (chunks are independent per array)."""
+        return [self.encode(data) for data in arrays]
+
     def decode(self, stream: EncodedStream) -> np.ndarray:
         """Chunk-parallel decode; bit-exact inverse of :meth:`encode`."""
         n = stream.n_symbols

@@ -76,31 +76,34 @@ def _entropy_bits(sigma: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Encode / decode wrappers (non-empty uint16 arrays; registry handles
-# shape bookkeeping and the empty case)
+# Encode / decode wrappers.  Encoders are batch-shaped (a list of
+# non-empty uint16 arrays in, one (blob, nbytes) per array out); decoders
+# take one blob.  The registry handles shape bookkeeping and the empty case.
 # ----------------------------------------------------------------------
-def _tcatbe_encode(array: np.ndarray):
-    matrix = array if array.ndim == 2 else array.reshape(1, -1)
-    blob = tcatbe_compress(matrix)
-    return blob, blob.compressed_nbytes
+def _as_matrix(array: np.ndarray) -> np.ndarray:
+    return array if array.ndim == 2 else array.reshape(1, -1)
+
+
+def _tcatbe_encode(arrays):
+    blobs = [tcatbe_compress(_as_matrix(array)) for array in arrays]
+    return [(blob, blob.compressed_nbytes) for blob in blobs]
 
 
 def _tcatbe_decode(blob, shape):
     return tcatbe_decompress(blob).reshape(shape)
 
 
-def _vector_encode(array: np.ndarray):
-    blob = compress_vector(array.ravel())
-    return blob, blob.compressed_nbytes
+def _vector_encode(arrays):
+    blobs = [compress_vector(array.ravel()) for array in arrays]
+    return [(blob, blob.compressed_nbytes) for blob in blobs]
 
 
 def _vector_decode(blob, shape):
     return decompress_vector(blob).reshape(shape)
 
 
-def _raw_encode(array: np.ndarray):
-    blob = array.copy()
-    return blob, blob.nbytes
+def _raw_encode(arrays):
+    return [(array.copy(), array.nbytes) for array in arrays]
 
 
 def _raw_decode(blob, shape):
@@ -110,9 +113,9 @@ def _raw_decode(blob, shape):
 def _bf16_split(name: str):
     codec = BF16_CODECS[name]
 
-    def encode(array: np.ndarray):
-        blob = codec.compress(array)
-        return blob, blob.compressed_nbytes
+    def encode(arrays):
+        blobs = codec.compress_many(arrays)
+        return [(blob, blob.compressed_nbytes) for blob in blobs]
 
     def decode(blob, shape):
         return codec.decompress(blob).reshape(shape)
@@ -120,15 +123,19 @@ def _bf16_split(name: str):
     return encode, decode
 
 
-def _zipquant_encode(array: np.ndarray):
+def _zipquant_encode(arrays):
     # Local import: extensions sit above serving in the layer diagram, so
     # the registry must not pull them in at import time.  This runs once
-    # per tensor on the offline path, never in a serving loop.
-    from ..extensions.quant_combo import compress_quantized, quantize_int8
+    # per batch of tensors on the offline path, never in a serving loop.
+    from ..extensions.quant_combo import (
+        compress_quantized_many,
+        quantize_int8,
+    )
 
-    matrix = array if array.ndim == 2 else array.reshape(1, -1)
-    blob = compress_quantized(quantize_int8(matrix))
-    return blob, blob.compressed_nbytes
+    blobs = compress_quantized_many(
+        [quantize_int8(_as_matrix(array)) for array in arrays]
+    )
+    return [(blob, blob.compressed_nbytes) for blob in blobs]
 
 
 def _zipquant_decode(blob, shape):

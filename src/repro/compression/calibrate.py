@@ -10,9 +10,10 @@ This module replaces assumption with measurement:
 * a :class:`TensorClass` names one population of tensors — a weight
   matrix class at its layer's Glorot sigma (``weights by layer
   fan-in/out``), or a KV/wire block at activation scale;
-* :func:`calibrate` samples each class, runs every candidate codec's
-  **bit-exact encoder** over the same bits, and records the measured
-  ratio next to the analytic estimate;
+* :func:`calibrate` samples each class once, runs every candidate
+  codec's **bit-exact encoder** over the same bits — one batched
+  :meth:`~repro.compression.spec.Codec.encode_many` call per codec —
+  and records the measured ratio next to the analytic estimate;
 * the result is a persistable :class:`MeasuredRatioProfile` that
   :func:`~repro.compression.spec.resolve_spec` consults *between* the
   explicit ``ratio=`` override and the analytic estimator — measured
@@ -332,12 +333,14 @@ def calibrate(
 ) -> MeasuredRatioProfile:
     """Run the real codecs over sampled tensors; return the profile.
 
-    For every (class, codec) pair the class's sample — one Gaussian
-    BF16 tensor at the class sigma, seeded deterministically per class —
-    is pushed through the codec's bit-exact encoder and the achieved
-    byte count recorded next to the analytic estimate.  Every codec of
-    one class sees the *same* bits, so measured ratios are directly
-    comparable.
+    Each class is sampled once — one Gaussian BF16 tensor at the class
+    sigma, seeded deterministically per class — and every codec encodes
+    all the samples in one :meth:`~repro.compression.spec.Codec
+    .encode_many` batch (the rANS baselines run the whole batch through
+    one interleaved lane loop); each (class, codec) pair's byte count is
+    recorded next to the analytic estimate.  Every codec of one class
+    sees the *same* bits, so measured ratios are directly comparable,
+    and a batch encodes each sample exactly as encoding it alone would.
 
     ``codecs`` defaults to every registered codec; ``classes`` to
     :func:`default_tensor_classes`.  Determinism contract: same
@@ -345,17 +348,18 @@ def calibrate(
     """
     if codecs is None:
         codecs = list_codecs()
-    if classes is None:
-        classes = default_tensor_classes()
+    classes = default_tensor_classes() if classes is None else list(classes)
     profile = MeasuredRatioProfile(seed=seed)
-    for tcls in classes:
-        rows, cols = tcls.shape
-        sample = gaussian_bf16_matrix(
-            rows, cols, sigma=tcls.sigma, seed=tcls.sample_seed(seed)
+    samples = [
+        gaussian_bf16_matrix(
+            *tcls.shape, sigma=tcls.sigma, seed=tcls.sample_seed(seed)
         )
-        for name in codecs:
-            codec = get_codec(name)
-            enc = codec.encode(sample)
+        for tcls in classes
+    ]
+    for name in codecs:
+        codec = get_codec(name)
+        encoded = codec.encode_many(samples)
+        for tcls, sample, enc in zip(classes, samples, encoded):
             profile.add(MeasuredRatio(
                 codec=codec.name,
                 placement=tcls.placement,

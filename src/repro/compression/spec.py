@@ -113,9 +113,12 @@ class EncodedTensor:
 class Codec:
     """One registered compression scheme (see module docstring).
 
-    ``encode_fn(flat) -> (blob, nbytes)`` and ``decode_fn(blob, shape) ->
-    array`` operate on non-empty uint16 arrays; the registry normalises
-    shape bookkeeping and the empty-tensor case around them.
+    ``encode_fn(arrays) -> [(blob, nbytes), ...]`` is batch-shaped: it
+    takes a list of non-empty contiguous uint16 arrays and returns one
+    pair per array, in order, so a codec can amortise per-call work
+    across a batch (the rANS baselines share one interleaved pass).
+    ``decode_fn(blob, shape) -> array`` inverts one blob.  The registry
+    normalises shape bookkeeping and the empty-tensor case around them.
     ``weight_bits_fn`` / ``kv_bits_fn`` map a Gaussian scale ``sigma`` to
     analytic bits/element (16 / bits = ratio).  ``wire`` pricing reuses
     the KV estimator: the wire carries KV blocks.
@@ -158,21 +161,37 @@ class Codec:
     # ------------------------------------------------------------------
     def encode(self, data: np.ndarray) -> EncodedTensor:
         """Compress a BF16 (uint16) array of any shape."""
-        array = np.asarray(data)
-        if array.dtype != np.uint16:
-            raise CodecError(
-                f"codec {self.name!r} expects BF16 bit patterns (uint16),"
-                f" got {array.dtype}"
-            )
-        shape = tuple(array.shape)
-        if array.size == 0:
-            return EncodedTensor(codec=self.name, shape=shape, blob=None,
-                                 nbytes=0)
-        if self.encode_fn is None:
+        return self.encode_many([data])[0]
+
+    def encode_many(self, arrays) -> list[EncodedTensor]:
+        """Compress BF16 (uint16) arrays of any shapes, one result each.
+
+        The non-empty arrays reach ``encode_fn`` as one batch; empty ones
+        become ``blob=None`` without it.
+        """
+        arrays = [np.asarray(data) for data in arrays]
+        for array in arrays:
+            if array.dtype != np.uint16:
+                raise CodecError(
+                    f"codec {self.name!r} expects BF16 bit patterns"
+                    f" (uint16), got {array.dtype}"
+                )
+        full = [np.ascontiguousarray(a) for a in arrays if a.size]
+        if full and self.encode_fn is None:
             raise CodecError(f"codec {self.name!r} has no encoder")
-        blob, nbytes = self.encode_fn(np.ascontiguousarray(array))
-        return EncodedTensor(codec=self.name, shape=shape, blob=blob,
-                             nbytes=int(nbytes))
+        encoded = list(self.encode_fn(full)) if full else []
+        if len(encoded) != len(full):
+            raise CodecError(
+                f"codec {self.name!r} encoded {len(encoded)} of"
+                f" {len(full)} arrays"
+            )
+        pairs = iter(encoded)
+        out = []
+        for array in arrays:
+            blob, nbytes = next(pairs) if array.size else (None, 0)
+            out.append(EncodedTensor(codec=self.name, shape=tuple(array.shape),
+                                     blob=blob, nbytes=int(nbytes)))
+        return out
 
     def decode(self, enc: EncodedTensor) -> np.ndarray:
         """Recover the array (bit-exact when :attr:`lossless`)."""

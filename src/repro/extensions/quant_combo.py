@@ -100,12 +100,22 @@ class CompressedQuantizedLayer:
 
 def compress_quantized(layer: QuantizedLayer) -> CompressedQuantizedLayer:
     """rANS-compress the INT8 plane (bias to unsigned bytes first)."""
-    as_bytes = (layer.q.astype(np.int16) + 128).astype(np.uint8).ravel()
-    return CompressedQuantizedLayer(
-        shape=layer.shape,
-        stream=_RANS.encode(as_bytes),
-        scales=layer.scales,
-    )
+    return compress_quantized_many([layer])[0]
+
+
+def compress_quantized_many(layers) -> list[CompressedQuantizedLayer]:
+    """:func:`compress_quantized` over several layers, whose INT8 planes
+    go through one batched rANS encode."""
+    streams = _RANS.encode_many([
+        (layer.q.astype(np.int16) + 128).astype(np.uint8).ravel()
+        for layer in layers
+    ])
+    return [
+        CompressedQuantizedLayer(
+            shape=layer.shape, stream=stream, scales=layer.scales
+        )
+        for layer, stream in zip(layers, streams)
+    ]
 
 
 def decompress_quantized(blob: CompressedQuantizedLayer) -> QuantizedLayer:

@@ -5,7 +5,9 @@ encoder change that moved its bytes would slip through them while silently
 shifting every stored container and every calibrated ratio.  These tests pin
 the sha256 of each buffer the encoders emit — TCA-TBE ``compress``, Vector-TBE
 ``compress_vector`` and interleaved ``RansCodec.encode`` — to the committed
-``tests/data/codec_goldens.json``.
+``tests/data/codec_goldens.json``, together with the sha256 of whole
+``calibrate()`` profiles, whose byte counts come from every registered
+codec's encoder.
 
 Regenerate (only for an intentional format change) with::
 
@@ -24,6 +26,8 @@ import pytest
 
 from repro.bf16 import gaussian_bf16_matrix, gaussian_bf16_sample
 from repro.codecs.rans import RansCodec
+from repro.compression import calibrate, tensor_classes_for_model
+from repro.serving.models import get_model
 from repro.tcatbe import compress
 from repro.tcatbe.vector import compress_vector
 
@@ -75,6 +79,17 @@ def _rans_cases() -> dict:
     return cases
 
 
+def _calibration_cases() -> dict:
+    """Keyword arguments of each pinned ``calibrate()`` run."""
+    return {
+        "llama3.1-8b": {
+            "classes": tensor_classes_for_model(get_model("llama3.1-8b")),
+            "seed": 0,
+        },
+        "default_classes": {"seed": 0},
+    }
+
+
 def _matrix_digests(weights: np.ndarray) -> dict:
     matrix = compress(weights)
     return {name: _sha(getattr(matrix, name)) for name in MATRIX_BUFFERS}
@@ -94,6 +109,12 @@ def _rans_digests(codec: RansCodec, data: np.ndarray) -> dict:
     }
 
 
+def _calibration_digests(kwargs: dict) -> dict:
+    profile = calibrate(**kwargs)
+    text = json.dumps(profile.to_dict(), sort_keys=True)
+    return {"profile": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def compute_goldens() -> dict:
     """Digests of every golden case, keyed group -> case -> buffer."""
     return {
@@ -105,6 +126,10 @@ def compute_goldens() -> dict:
         },
         "rans_encode": {
             name: _rans_digests(*case) for name, case in _rans_cases().items()
+        },
+        "calibration": {
+            name: _calibration_digests(kwargs)
+            for name, kwargs in _calibration_cases().items()
         },
     }
 
@@ -138,11 +163,18 @@ def test_rans_encode_buffers(goldens, name):
         goldens["rans_encode"][name], _HINT
 
 
+@pytest.mark.parametrize("name", sorted(_calibration_cases()))
+def test_calibration_profiles(goldens, name):
+    assert _calibration_digests(_calibration_cases()[name]) == \
+        goldens["calibration"][name], _HINT
+
+
 def test_goldens_cover_every_case(goldens):
     assert {g: sorted(c) for g, c in goldens.items()} == {
         "compress": sorted(_matrix_cases()),
         "compress_vector": sorted(_vector_cases()),
         "rans_encode": sorted(_rans_cases()),
+        "calibration": sorted(_calibration_cases()),
     }
 
 

@@ -81,6 +81,25 @@ class TestLosslessRoundTrip:
             assert enc.nbytes > 0
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_encode_many_equals_one_at_a_time(name):
+    """A batch (ragged sizes, an empty and a 1-element array among them)
+    encodes every array exactly as encoding it alone does."""
+    codec = get_codec(name)
+    batch = [
+        CASES["gaussian_tile"], CASES["empty"], CASES["one_element"],
+        CASES["vector_1d"], CASES["empty_2d"], CASES["non_tile_multiple"],
+        gaussian_bf16_matrix(40, 200, sigma=0.05, seed=4),
+    ]
+    many = codec.encode_many(batch)
+    single = [codec.encode(data) for data in batch]
+    assert [e.nbytes for e in many] == [e.nbytes for e in single]
+    for data, got, want in zip(batch, many, single):
+        assert got.shape == want.shape == data.shape
+        assert (got.blob is None) == (data.size == 0)
+        assert np.array_equal(codec.decode(got), codec.decode(want))
+
+
 @pytest.mark.parametrize("name", LOSSY)
 class TestLossyProjection:
     """Lossy codecs must be projections: re-encoding their own output is
@@ -117,6 +136,11 @@ class TestRegistry:
     def test_unknown_codec(self):
         with pytest.raises(UnknownSpecError):
             get_codec("zstd")
+
+    def test_encoder_returning_too_few_results_rejected(self):
+        broken = Codec(name="broken", encode_fn=lambda arrays: [])
+        with pytest.raises(CodecError, match="encoded 0 of 1"):
+            broken.encode(np.ones(3, dtype=np.uint16))
 
     def test_wrong_dtype_rejected(self):
         with pytest.raises(CodecError):

@@ -15,9 +15,13 @@ The invariants that make a fleet simulation trustworthy:
 * **equivalence** — a 1-replica round-robin fleet is the colocated
   engine, bit for bit, and (on the configs where it holds) the
   disaggregated one;
+* **decomposition** — a statically routed fleet is N independent cell
+  runs, each fed its own requests at the fleet's arrival instants;
 * **signals** — every cell's ``kv_occupancy`` counter equals a recount
   from its queues at every routing decision.
 """
+
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,7 @@ from repro.serving import (
     AutoscalerStage,
     ChunkedPrefillPoolStage,
     DisaggConfig,
+    EventKernel,
     FleetConfig,
     FleetCore,
     InferenceEngine,
@@ -40,6 +45,7 @@ from repro.serving import (
     SchedulerLimits,
     ServingConfig,
     SLOTarget,
+    Stage,
     find_knee,
     get_backend,
     get_model,
@@ -49,11 +55,21 @@ from repro.serving import (
     list_routing_policies,
     multi_tenant_trace,
     open_loop_arrivals,
+    PrefixCacheConfig,
     poisson_trace,
     register_routing_policy,
     run_open_loop,
 )
 from repro.utils import ceil_div
+from test_serving_goldens import (
+    _BACKPRESSURE,
+    _busy_chat,
+    _chat,
+    _disagg,
+    _engine,
+    _fleet,
+    _sessions,
+)
 
 LIMITS = SchedulerLimits(max_num_seqs=16, max_batched_tokens=8192)
 BUILTINS = (
@@ -253,6 +269,133 @@ class TestRouting:
             core.timings, key=key
         )
         assert fleet.replicas[0].transfer.records == core.transfer.records
+
+
+# ----------------------------------------------------------------------
+# Decomposition: a statically routed fleet is N independent cell runs
+# ----------------------------------------------------------------------
+class _ArrivalReplay(Stage):
+    """The router's stand-in in front of one cell on its own kernel.
+
+    It advances at every instant the fleet's router advances (each
+    arrival of the whole trace) but delivers only the requests routed
+    to its cell.  Those instants matter even where nothing is delivered:
+    the router's next arrival caps the cells' decode windows.
+    """
+
+    name = "router"
+
+    def __init__(self, arrivals: list[float], mine: list, cell) -> None:
+        self._arrivals = arrivals
+        self._mine = mine
+        self._mine_arrivals = [r.arrival_s for r in mine]
+        self._cursor = self._delivered = 0
+        self.cell = cell
+
+    def next_arrival_s(self) -> float | None:
+        if self._cursor == len(self._arrivals):
+            return None
+        return self._arrivals[self._cursor]
+
+    next_event_time = next_arrival_s
+
+    def advance(self, now: float) -> None:
+        self._cursor = bisect_right(self._arrivals, now)
+        due = bisect_right(self._mine_arrivals, now)
+        for req in self._mine[self._delivered:due]:
+            self.cell.deliver(req)
+        if due > self._delivered:
+            self._delivered = due
+            self.cell.notify()
+
+
+def _decomposed_run(config, requests, kv_bytes):
+    """Route ``requests`` up front with the fleet's policy, then run
+    each cell alone; returns the cells and the ``EventKernel`` runs'
+    combined makespan."""
+    engine = _engine()
+    core = FleetCore(engine.costs, engine.kv_spec, kv_bytes, config)
+    cells = [
+        core._build_cell(i, cfg)
+        for i, cfg in enumerate(config.fleet.resolve_instances(config))
+    ]
+    policy = get_routing_policy(config.fleet.routing)
+    ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    routed = {cell.index: [] for cell in cells}
+    for req in ordered:
+        routed[policy.select(req, cells, req.arrival_s).index].append(req)
+    arrivals = [r.arrival_s for r in ordered]
+    for cell in cells:
+        feeder = _ArrivalReplay(arrivals, routed[cell.index], cell)
+        cell.attach_router(feeder)
+        EventKernel([feeder, *cell.stages]).run()
+    return cells, max(cell.clock for cell in cells)
+
+
+#: name -> (fleet config over (cost bucket, routing), trace, KV fraction).
+_DECOMPOSED = {
+    "colocated_x3": (
+        lambda b, routing: _fleet(b, 3, routing),
+        lambda: _chat(200, 12.0), 1.0),
+    "colocated_cache_x3": (
+        lambda b, routing: _fleet(
+            b, 3, routing,
+            prefix_cache=PrefixCacheConfig(hot_frac=0.3, codec="kvcomp"),
+        ),
+        _sessions, 1.0),
+    "disagg_chunked_cache_x2": (
+        lambda b, routing: _fleet(
+            b, 2, routing, _disagg(b, "chunked"),
+            prefix_cache=PrefixCacheConfig(hot_frac=0.5, codec="kvcomp"),
+        ),
+        _sessions, 1.0),
+    "disagg_group_x2": (
+        lambda b, routing: _fleet(b, 2, routing, _disagg(b, "group")),
+        _sessions, 1.0),
+    "disagg_chunked_kv6_x2": (
+        lambda b, routing: _fleet(b, 2, routing, _disagg(b, "chunked")),
+        _busy_chat, 0.06),
+    "disagg_backpressure_kv5_x2": (
+        lambda b, routing: _fleet(
+            b, 2, routing, _disagg(
+                b, "chunked", _BACKPRESSURE,
+                decode_replicas=2, link_topology="per_replica",
+            ),
+        ),
+        _chat, 0.05),
+}
+
+
+class TestDecomposition:
+    @pytest.mark.parametrize("bucket", (0, 64))
+    @pytest.mark.parametrize("routing", ("round_robin", "session_affinity"))
+    @pytest.mark.parametrize("setup", sorted(_DECOMPOSED))
+    def test_static_fleet_is_independent_cell_runs(
+        self, setup, routing, bucket
+    ):
+        """Under static routing the cells couple only through the
+        router's arrival instants, so replaying those instants in front
+        of each cell alone reproduces every fleet output exactly."""
+        config_of, trace_of, kv_frac = _DECOMPOSED[setup]
+        config = config_of(bucket, routing)
+        engine = _engine()
+        kv_bytes = kv_frac * engine.plan.kv_bytes
+        fleet_requests = trace_of()
+        result = FleetCore(
+            engine.costs, engine.kv_spec, kv_bytes, config
+        ).serve(fleet_requests)
+        cell_requests = trace_of()
+        cells, makespan = _decomposed_run(config, cell_requests, kv_bytes)
+
+        stamps = lambda reqs: {  # noqa: E731
+            r.request_id: (r.arrival_s, r.first_token_s, r.finish_s)
+            for r in reqs
+        }
+        assert stamps(cell_requests) == stamps(fleet_requests)
+        assert makespan == result.makespan_s
+        assert sum(cell.n_steps for cell in cells) == result.n_steps
+        assert repr(tuple(cell.stats(makespan) for cell in cells)) == \
+            repr(result.replicas)
 
 
 # ----------------------------------------------------------------------
