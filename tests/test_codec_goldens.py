@@ -7,7 +7,11 @@ the sha256 of each buffer the encoders emit — TCA-TBE ``compress``, Vector-TBE
 ``compress_vector`` and interleaved ``RansCodec.encode`` — to the committed
 ``tests/data/codec_goldens.json``, together with the sha256 of whole
 ``calibrate()`` profiles, whose byte counts come from every registered
-codec's encoder.
+codec's encoder, and of the analytic layer: the Appendix-A exponent pmf and
+every registered codec's ``ratio(placement, sigma)`` over a sigma sweep and
+every zoo model's layer sigmas.  The analytic group is what keeps the
+in-repo ``erf`` (:mod:`repro.analysis.theory`) bit-identical on hosts
+without scipy.
 
 Regenerate (only for an intentional format change) with::
 
@@ -24,10 +28,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis.theory import exponent_pmf_gaussian
 from repro.bf16 import gaussian_bf16_matrix, gaussian_bf16_sample
 from repro.codecs.rans import RansCodec
-from repro.compression import calibrate, tensor_classes_for_model
-from repro.serving.models import get_model
+from repro.compression import (
+    PLACEMENTS,
+    calibrate,
+    get_codec,
+    list_codecs,
+    tensor_classes_for_model,
+)
+from repro.serving.models import MODELS, get_model
+from repro.serving.weights import layer_sigma
 from repro.tcatbe import compress
 from repro.tcatbe.vector import compress_vector
 
@@ -90,6 +102,17 @@ def _calibration_cases() -> dict:
     }
 
 
+def _analytic_cases() -> dict:
+    """Sigma sets whose exponent pmf and analytic ratios are pinned."""
+    cases = {"geomspace_1e-4_10_512": np.geomspace(1e-4, 10, 512).tolist()}
+    for name, model in MODELS.items():
+        cases[f"model_{name}"] = sorted({
+            layer_sigma(layer.kind, layer.m, layer.k)
+            for layer in model.linear_layers()
+        })
+    return cases
+
+
 def _matrix_digests(weights: np.ndarray) -> dict:
     matrix = compress(weights)
     return {name: _sha(getattr(matrix, name)) for name in MATRIX_BUFFERS}
@@ -115,6 +138,20 @@ def _calibration_digests(kwargs: dict) -> dict:
     return {"profile": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def _analytic_digests(sigmas: list) -> dict:
+    pmf = hashlib.sha256()
+    ratios = hashlib.sha256()
+    for sigma in sigmas:
+        pmf.update(exponent_pmf_gaussian(sigma).tobytes())
+        for name in list_codecs():
+            codec = get_codec(name)
+            for placement in PLACEMENTS:
+                line = f"{name} {placement} {sigma!r} "
+                line += f"{codec.ratio(placement, sigma)!r}\n"
+                ratios.update(line.encode())
+    return {"pmf": pmf.hexdigest(), "ratios": ratios.hexdigest()}
+
+
 def compute_goldens() -> dict:
     """Digests of every golden case, keyed group -> case -> buffer."""
     return {
@@ -130,6 +167,10 @@ def compute_goldens() -> dict:
         "calibration": {
             name: _calibration_digests(kwargs)
             for name, kwargs in _calibration_cases().items()
+        },
+        "analytic": {
+            name: _analytic_digests(sigmas)
+            for name, sigmas in _analytic_cases().items()
         },
     }
 
@@ -169,12 +210,23 @@ def test_calibration_profiles(goldens, name):
         goldens["calibration"][name], _HINT
 
 
+@pytest.mark.parametrize("name", sorted(_analytic_cases()))
+def test_analytic_pmf_and_ratios(goldens, name):
+    assert _analytic_digests(_analytic_cases()[name]) == \
+        goldens["analytic"][name], (
+            "the Appendix-A pmf or an analytic codec ratio drifted from"
+            " tests/data/codec_goldens.json; every serving price and"
+            " calibration reference reads these bits"
+        )
+
+
 def test_goldens_cover_every_case(goldens):
     assert {g: sorted(c) for g, c in goldens.items()} == {
         "compress": sorted(_matrix_cases()),
         "compress_vector": sorted(_vector_cases()),
         "rans_encode": sorted(_rans_cases()),
         "calibration": sorted(_calibration_cases()),
+        "analytic": sorted(_analytic_cases()),
     }
 
 
