@@ -94,8 +94,10 @@ class TensorClass:
                 f"placement must be one of {PLACEMENTS},"
                 f" got {self.placement!r}"
             )
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(
+                f"sigma must be positive and finite, got {self.sigma}"
+            )
         if min(self.shape) <= 0:
             raise ConfigError(f"sample shape must be positive: {self.shape}")
 

@@ -48,6 +48,7 @@ Registry invariants (tested in ``tests/test_compression_registry.py``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -359,9 +360,10 @@ class CompressionSpec:
                 f"placement must be one of {PLACEMENTS},"
                 f" got {self.placement!r}"
             )
-        if self.ratio < 1.0:
+        if not (math.isfinite(self.ratio) and self.ratio >= 1.0):
             raise ConfigError(
-                f"compression ratio must be >= 1, got {self.ratio}"
+                "compression ratio must be finite and >= 1, got"
+                f" {self.ratio}"
             )
 
     @property

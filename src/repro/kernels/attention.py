@@ -11,8 +11,6 @@ Two families:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..analysis.calibration import decode_cycles_per_element
 from ..errors import ConfigError
 from ..gpu.memory import TrafficRecord
@@ -123,109 +121,6 @@ def paged_attention_decode_compressed(
             "compute_time_s": compute_time,
             "kv_ratio": ratio,
         },
-    )
-
-
-def _check_ctxs(ctxs: np.ndarray) -> None:
-    if ctxs.ndim != 1:
-        raise ConfigError("ctxs must be a 1-D array of context lengths")
-    if ctxs.size and float(ctxs.min()) <= 0:
-        raise ConfigError("attention dims must be positive")
-
-
-def paged_attention_decode_batch(
-    spec: GpuSpec,
-    batch: int,
-    ctxs: np.ndarray,
-    heads: int,
-    kv_heads: int,
-    head_dim: int,
-) -> np.ndarray:
-    """Per-layer ``paged_attention_decode`` seconds over an array of contexts.
-
-    Element ``i`` is bit-identical to
-    ``paged_attention_decode(spec, batch, ctxs[i], ...).time_s``: the
-    expression tree of the scalar kernel is preserved term for term, and
-    float64 elementwise arithmetic performs the same operations in the
-    same order as the scalar path.  Used by the cost layer to price a
-    whole fast-forward window in one pass; the scalar variant remains
-    the single-step and introspection path (profiles, traffic records).
-    """
-    ctxs = np.asarray(ctxs, dtype=np.float64)
-    _check(batch, 1, heads, kv_heads, head_dim)
-    _check_ctxs(ctxs)
-    kv_bytes = 2.0 * batch * ctxs * kv_heads * head_dim * 2.0
-    io_bytes = 2.0 * batch * heads * head_dim * 2.0
-    flops = 2.0 * 2.0 * batch * heads * ctxs * head_dim
-    mem_time = (kv_bytes + io_bytes) / (
-        spec.dram_bytes_per_s * PAGED_BW_FRAC
-    )
-    compute_time = flops / (spec.tc_flops * _FLASH_TC_FRAC)
-    return np.maximum(mem_time, compute_time) + spec.launch_overhead_us * 1e-6
-
-
-def paged_attention_decode_compressed_batch(
-    spec: GpuSpec,
-    batch: int,
-    ctxs: np.ndarray,
-    heads: int,
-    kv_heads: int,
-    head_dim: int,
-    ratio: float,
-    cycles_per_element: float | None = None,
-    bw_frac: float = PAGED_BW_FRAC,
-) -> np.ndarray:
-    """Per-layer ``paged_attention_decode_compressed`` seconds, vectorized.
-
-    Elementwise bit-identical to the scalar kernel's ``time_s`` (same
-    expression tree; ``max(a, b, c)`` becomes two nested
-    ``np.maximum`` calls, identical for non-NaN floats).
-    """
-    ctxs = np.asarray(ctxs, dtype=np.float64)
-    _check(batch, 1, heads, kv_heads, head_dim)
-    _check_ctxs(ctxs)
-    if ratio < 1.0:
-        raise ConfigError(f"compression ratio must be >= 1, got {ratio}")
-    if cycles_per_element is None:
-        cycles_per_element = decode_cycles_per_element()
-    elements = 2.0 * batch * ctxs * kv_heads * head_dim
-    kv_bytes = elements * 2.0 / ratio
-    io_bytes = 2.0 * batch * heads * head_dim * 2.0
-    flops = 2.0 * 2.0 * batch * heads * ctxs * head_dim
-    mem_time = (kv_bytes + io_bytes) / (spec.dram_bytes_per_s * bw_frac)
-    alu_time = elements * cycles_per_element / spec.sm_cycles_per_s
-    compute_time = flops / (spec.tc_flops * _FLASH_TC_FRAC)
-    return (
-        np.maximum(np.maximum(mem_time, alu_time), compute_time)
-        + spec.launch_overhead_us * 1e-6
-    )
-
-
-def eager_attention_decode_batch(
-    spec: GpuSpec,
-    batch: int,
-    ctxs: np.ndarray,
-    heads: int,
-    kv_heads: int,
-    head_dim: int,
-) -> np.ndarray:
-    """Per-layer ``eager_attention_decode`` seconds, vectorized.
-
-    Elementwise bit-identical to the scalar kernel's ``time_s``.
-    """
-    ctxs = np.asarray(ctxs, dtype=np.float64)
-    _check(batch, 1, heads, kv_heads, head_dim)
-    _check_ctxs(ctxs)
-    kv_bytes = 2.0 * batch * ctxs * kv_heads * head_dim * 2.0
-    score_bytes = 4.0 * batch * heads * ctxs * 4.0
-    flops = 2.0 * 2.0 * batch * heads * ctxs * head_dim
-    mem_time = (kv_bytes + score_bytes) / (
-        spec.dram_bytes_per_s * _EAGER_BW_FRAC
-    )
-    compute_time = flops / (spec.tc_flops * _FLASH_TC_FRAC)
-    return (
-        np.maximum(mem_time, compute_time)
-        + 3 * spec.launch_overhead_us * 1e-6
     )
 
 

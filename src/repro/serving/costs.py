@@ -38,11 +38,10 @@ Invariants this layer guarantees (tested in ``tests/test_costs.py`` and
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
-
-import numpy as np
 
 from ..analysis.calibration import decode_cycles_per_element
 from ..compression import CompressionSpec, get_codec, resolve_spec
@@ -51,13 +50,10 @@ from ..gpu.specs import GpuSpec
 from ..kernels.attention import (
     PAGED_BW_FRAC,
     eager_attention_decode,
-    eager_attention_decode_batch,
     eager_attention_prefill,
     flash_attention_prefill,
     paged_attention_decode,
-    paged_attention_decode_batch,
     paged_attention_decode_compressed,
-    paged_attention_decode_compressed_batch,
 )
 from ..kernels.pipeline import linear_profile
 from ..utils import ceil_div
@@ -183,8 +179,13 @@ class EngineCostModel:
         one supplied, per-layer weight pricing and the KV spec use
         measured ratios (measured wins over analytic, explicit ratios
         still win over both)."""
-        if kv_compression_ratio is not None and kv_compression_ratio < 1.0:
-            raise ConfigError("kv_compression_ratio must be >= 1")
+        if kv_compression_ratio is not None and not (
+            math.isfinite(kv_compression_ratio) and kv_compression_ratio >= 1.0
+        ):
+            raise ConfigError(
+                "kv_compression_ratio must be finite and >= 1, got"
+                f" {kv_compression_ratio}"
+            )
         self.model = model
         self.gpu = gpu
         self.backend = backend
@@ -366,33 +367,6 @@ class EngineCostModel:
                          self.model.head_dim)
         return profile.time_s * self.model.n_layers
 
-    def attention_time_batch(self, batch: int, ctxs) -> np.ndarray:
-        """Decode attention seconds for an array of context lengths.
-
-        Element ``i`` is bitwise equal to
-        ``attention_time(batch, ctxs[i], "decode")`` — the batch kernels
-        preserve the scalar expression trees, and the per-layer scaling
-        is the same single multiply.
-        """
-        heads = max(1, self.model.n_heads // self.tp)
-        kv_heads = self.kv_heads
-        if self._kv_attention_args is not None:
-            ratio, cycles, bw_frac = self._kv_attention_args
-            times = paged_attention_decode_compressed_batch(
-                self.gpu, batch, ctxs, heads, kv_heads,
-                self.model.head_dim, ratio=ratio,
-                cycles_per_element=cycles, bw_frac=bw_frac,
-            )
-        else:
-            fn = (
-                paged_attention_decode_batch
-                if self.backend.attention == "paged"
-                else eager_attention_decode_batch
-            )
-            times = fn(self.gpu, batch, ctxs, heads, kv_heads,
-                       self.model.head_dim)
-        return times * self.model.n_layers
-
     def elementwise_time(self, n_tokens: int) -> float:
         """Norms, RoPE, activation and residual traffic per pass."""
         h = self.model.hidden
@@ -441,30 +415,6 @@ class EngineCostModel:
     def decode_step(self, batch: int, ctx: int) -> StepBreakdown:
         """Breakdown of one decode step at context length ``ctx``."""
         return self._step(batch, self.attention_time(batch, ctx, "decode"))
-
-    def decode_step_batch(self, batch: int, ctxs) -> np.ndarray:
-        """Total seconds of one decode step at each context in ``ctxs``.
-
-        One numpy pass over the whole array.  Element ``i`` is bitwise
-        equal to ``decode_step(batch, ctxs[i]).total_s`` — and therefore
-        also to a decode-only ``mixed_step``'s total (its attention sum
-        starts from ``0.0`` and its token count adds ``0``, both exact
-        no-ops) — because the per-component math below mirrors
-        :meth:`_step` and the final sum runs in the same left-to-right
-        component order as :attr:`StepBreakdown.total_s`.  That bitwise
-        contract is what lets fast-forward windows price whole bucket
-        spans here and still replay the stepwise float sequence exactly.
-        """
-        attention_s = self.attention_time_batch(batch, ctxs)
-        linear_s, ops, comm_s = self.linear_time(batch)
-        comm_s = comm_s + self.pipeline_hop_time(batch)
-        n_other = self.backend.other_ops_per_layer * self.model.n_layers
-        dispatch_s = (ops + n_other) * self.backend.dispatch_overhead_s
-        other_s = (
-            self.elementwise_time(batch)
-            + self.backend.fixed_step_overhead_s
-        )
-        return (((linear_s + attention_s) + comm_s) + other_s) + dispatch_s
 
     def prefill_step(self, batch: int, prompt_len: int) -> StepBreakdown:
         """Breakdown of the whole-prompt prefill pass."""
@@ -534,8 +484,9 @@ class MemoizedStepCostModel:
         self.hits = 0
         self.misses = 0
         self._cache: dict[tuple, StepBreakdown] = {}
-        #: Each cached mixed-step key's ``total_s``, kept beside its
-        #: breakdown: the float table the serving loops price through.
+        #: Mixed-step keys' ``total_s``, filled by :meth:`mixed_step_s`
+        #: on its first read of a key: the float table the serving
+        #: loops price through.
         self._totals: dict[tuple, float] = {}
         # Per-step-kind [hits, misses]; kinds are the cache-key tags
         # ("d" decode, "p" prefill, "m" mixed).  Global hits/misses stay
@@ -579,10 +530,8 @@ class MemoizedStepCostModel:
 
         Returns ``{"decode"|"prefill"|"mixed": {"hits", "misses",
         "size"}}`` where ``size`` is the number of live cache entries of
-        that kind.  ``hits``/``misses`` count every pricing query —
-        including each element of a :meth:`decode_step_batch` call, so a
-        fast-forward window that prices many bucket edges at once is
-        accounted like the equivalent scalar loop.
+        that kind.  ``hits``/``misses`` count every pricing query,
+        :meth:`mixed_step_s` reads included.
         """
         names = {"d": "decode", "p": "prefill", "m": "mixed"}
         sizes = {kind: 0 for kind in names}
@@ -592,44 +541,6 @@ class MemoizedStepCostModel:
             names[kind]: {"hits": h, "misses": m, "size": sizes[kind]}
             for kind, (h, m) in self._kind_stats.items()
         }
-
-    def decode_step_batch(self, batch: int, ctxs) -> np.ndarray:
-        """Total seconds of a decode-only step at each context in ``ctxs``.
-
-        The bucketed window-pricing path: each context rounds up to its
-        ``ctx_bucket`` edge and the inner model is evaluated once per
-        *unique* edge.  Queries go through the decode-only **mixed**
-        query — ``mixed_step(batch, edge, 0, 0)``, sharing its cache key
-        with the scalar :meth:`mixed_step` path — because that is the
-        exact call a chunked serving core makes per step, and arbitrary
-        inner models (test doubles included) may price ``decode_step``
-        differently.  Returned totals are therefore bitwise equal to the
-        stepwise scalar sequence for *any* inner model, and per-element
-        hit/miss accounting matches the equivalent scalar loop.
-        """
-        ctxs = np.asarray(ctxs, dtype=np.int64)
-        bucket = self.ctx_bucket
-        edges = np.maximum(
-            (ctxs + (bucket - 1)) // bucket, 1
-        ) * bucket
-        out = np.empty(edges.size, dtype=np.float64)
-        stats = self._kind_stats["m"]
-        totals = self._totals
-        for i, b_ctx in enumerate(edges.tolist()):
-            key = ("m", batch, b_ctx, 0, 0)
-            total = totals.get(key)
-            if total is not None:
-                self.hits += 1
-                stats[0] += 1
-            else:
-                self.misses += 1
-                stats[1] += 1
-                found = self._cache[key] = self.inner.mixed_step(
-                    batch, b_ctx, 0, 0
-                )
-                total = totals[key] = found.total_s
-            out[i] = total
-        return out
 
     def decode_step(self, batch: int, ctx: int) -> StepBreakdown:
         """Decode step at the bucketed context."""
@@ -666,24 +577,11 @@ class MemoizedStepCostModel:
         prefill_seqs: int,
         prefill_tokens: int,
     ) -> StepBreakdown:
-        """Mixed step with bucketed context and chunk size.
-
-        The cache lookup is inlined (same keys, accounting and
-        copy-on-return as :meth:`_lookup`).
-        """
+        """Mixed step with bucketed context and chunk size."""
         key = self._mixed_key(
             decode_batch, decode_ctx, prefill_seqs, prefill_tokens
         )
-        found = self._cache.get(key)
-        if found is not None:
-            self.hits += 1
-            self._mixed_stats[0] += 1
-        else:
-            self.misses += 1
-            self._mixed_stats[1] += 1
-            found = self._cache[key] = self.inner.mixed_step(*key[1:])
-            self._totals[key] = found.total_s
-        return found.scaled(1.0)
+        return self._lookup(key, lambda: self.inner.mixed_step(*key[1:]))
 
     def mixed_step_s(
         self,
@@ -694,19 +592,23 @@ class MemoizedStepCostModel:
     ) -> float:
         """``mixed_step(...).total_s`` read from the float table.
 
-        The serving loops' per-step price: same key and hit/miss
-        accounting as :meth:`mixed_step`, without the breakdown copy and
-        the component sum (a miss goes through :meth:`mixed_step`).
+        The serving loops' per-step price, and the bucket-edge prices of
+        their fast-forward windows: same key and hit/miss accounting as
+        :meth:`mixed_step`, without the breakdown copy and the component
+        sum.  A key's first read goes through :meth:`mixed_step` and
+        keeps its total.
         """
-        total = self._totals.get(self._mixed_key(
+        key = self._mixed_key(
             decode_batch, decode_ctx, prefill_seqs, prefill_tokens
-        ))
+        )
+        total = self._totals.get(key)
         if total is None:
-            return self.mixed_step(
+            total = self._totals[key] = self.mixed_step(
                 decode_batch, decode_ctx, prefill_seqs, prefill_tokens
             ).total_s
-        self.hits += 1
-        self._mixed_stats[0] += 1
+        else:
+            self.hits += 1
+            self._mixed_stats[0] += 1
         return total
 
 

@@ -577,8 +577,9 @@ class ContinuousBatchScheduler:
 
         Prefill chunks advance ``prefill_remaining``; a sequence whose
         prefill completes this step produced its first token (TTFT stamp).
-        Decoding sequences append one token each and finish when done.
-        Returns the requests that finished this step.
+        Decoding sequences append one token each and finish when done
+        (:meth:`commit_decode`).  Returns the requests that finished this
+        step.
         """
         tel = self.telemetry
         if tel is not None:
@@ -594,20 +595,51 @@ class ContinuousBatchScheduler:
                 req.first_token_s = clock
             if tel is not None:
                 tel.on_prefill_chunk(req, clock, self.track, chunk)
-        self.kv.append_decode([req.request_id for req in plan.decode])
+        decode = plan.decode
+        return self.commit_decode(
+            decode, [req.request_id for req in decode], 1, clock, True
+        )
+
+    def commit_decode(
+        self,
+        decode: list[Request],
+        ids: list[int],
+        k: int,
+        clock: float,
+        finishes: bool,
+    ) -> list[Request]:
+        """Commit ``k`` decode steps of ``decode`` ending at time ``clock``.
+
+        ``ids`` are the ``decode`` requests' ids, grown in one
+        :meth:`~repro.serving.kvcache.PagedKVCache.append_decode` call.
+        ``k`` never exceeds the smallest remaining-token count, so only
+        requests whose last token is the ``k``-th finish, stamped
+        ``clock``, and only a commit the caller flags as ``finishes``
+        looks for them (a fast-forward window knows which of its
+        segments takes a last token).  Returns the finished requests.
+        """
+        kv = self.kv
+        kv.append_decode(ids, k)
+        for req in decode:
+            req.generated += k
+        if not finishes:
+            return []
+        tel = self.telemetry
+        if tel is not None:
+            self._now = clock
         done = []
-        for req in plan.decode:
-            req.generated += 1
-            if req.generated >= req.max_new_tokens:
-                req.state = RequestState.FINISHED
-                req.finish_s = clock
-                self._store_prefix(req)
-                self.kv.free(req.request_id)
-                self.running.remove(req)
-                self.finished.append(req)
-                done.append(req)
-                if tel is not None:
-                    tel.on_finish(req, clock, self.track)
+        for req in decode:
+            if req.generated < req.max_new_tokens:
+                continue
+            req.state = RequestState.FINISHED
+            req.finish_s = clock
+            self._store_prefix(req)
+            kv.free(req.request_id)
+            self.running.remove(req)
+            self.finished.append(req)
+            done.append(req)
+            if tel is not None:
+                tel.on_finish(req, clock, self.track)
         return done
 
     # ------------------------------------------------------------------

@@ -59,6 +59,7 @@ and ``tests/test_disagg.py``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
@@ -82,7 +83,6 @@ from .prefixcache import (
 from .scheduler import (
     ContinuousBatchScheduler,
     Request,
-    RequestState,
     SchedulerLimits,
     SchedulerPolicy,
 )
@@ -223,8 +223,11 @@ class DisaggConfig:
         if self.link_latency_s < 0:
             raise ConfigError("link_latency_s must be >= 0")
         get_codec(self.transfer_codec)  # raises UnknownSpecError if absent
-        if self.transfer_ratio is not None and self.transfer_ratio < 1.0:
-            raise ConfigError("transfer_ratio must be >= 1")
+        ratio = self.transfer_ratio
+        if ratio is not None and not (math.isfinite(ratio) and ratio >= 1.0):
+            raise ConfigError(
+                f"transfer_ratio must be finite and >= 1, got {ratio}"
+            )
         if self.link_topology not in LINK_TOPOLOGIES:
             raise ConfigError(
                 f"link_topology must be one of {LINK_TOPOLOGIES},"
@@ -998,45 +1001,6 @@ def decode_window_len(
     return k
 
 
-def commit_decode_window(
-    scheduler: ContinuousBatchScheduler,
-    decode: list[Request],
-    ids: list[int],
-    k: int,
-    clock: float,
-    finishes: bool,
-) -> None:
-    """Commit ``k`` identical decode steps at post-window time ``clock``.
-
-    ``ids`` are the ``decode`` requests' ids, grown in one
-    :meth:`~repro.serving.kvcache.PagedKVCache.append_decode` call.
-    ``k`` never exceeds the smallest remaining-token count, so only
-    requests finishing exactly at the window's last step finish — with
-    the same ``finish_s`` the stepwise loop would have stamped — and
-    only a segment the caller flags as ``finishes`` looks for them.
-    """
-    kv = scheduler.kv
-    kv.append_decode(ids, k)
-    for req in decode:
-        req.generated += k
-    if not finishes:
-        return
-    tel = scheduler.telemetry
-    if tel is not None:
-        scheduler._now = clock
-    for req in decode:
-        if req.generated < req.max_new_tokens:
-            continue
-        req.state = RequestState.FINISHED
-        req.finish_s = clock
-        scheduler._store_prefix(req)
-        kv.free(req.request_id)
-        scheduler.running.remove(req)
-        scheduler.finished.append(req)
-        if tel is not None:
-            tel.on_finish(req, clock, scheduler.track)
-
-
 def run_decode_window(
     engine: EngineReplica,
     plan,
@@ -1084,9 +1048,9 @@ def run_decode_window(
     boundary, not only at arrivals: a window may open in the iteration
     whose preemption freed KV the queue head can use.  The replay takes
     ``k`` from :func:`decode_window_len`'s formula and keeps the price
-    (past a bucket edge, from this window's ``decode_step_batch``
-    table); a one-step iteration is its own ``(step_s, 1)`` segment,
-    committed like ``apply_step`` after its ``step`` span.  Each
+    (past a bucket edge, from this window's bucket-edge table); a
+    one-step iteration is its own ``(step_s, 1)`` segment, committed
+    like ``apply_step`` after its ``step`` span.  Each
     iteration closes as a kernel-driven one does: ``decode`` spans
     after a window, then one engine sample before the next head
     submits.  Any other engine, or a head that is not a no-op, returns
@@ -1097,21 +1061,22 @@ def run_decode_window(
     **Scalar window.**  Every request advances by the same ``k`` per
     segment, so the first finish (``min_rem``) and the mean context
     (``plan.decode_ctx_sum``) are tracked as scalars; ``Request``
-    objects are only touched by the per-segment
-    :func:`commit_decode_window`.
+    objects are only touched by the scheduler's per-segment
+    :meth:`~repro.serving.scheduler.ContinuousBatchScheduler.commit_decode`.
 
     **Float discipline**: the clock advances ``step_s * k`` per segment
     — the same ``(step_s, k)`` sequence, in the same order, as the
     stepwise loop's per-window adds, replicated into ``busy_s`` and
-    ``n_steps`` when each iteration closes.  ``engine.costs`` is the
-    bucketed model the engine prices with (``maybe_memoize`` at
-    ``cost_bucket > 0``), so a segment that stays inside its context
-    bucket keeps its price, and a segment past a bucket edge reads its
-    price from one ``decode_step_batch`` table over every edge the
-    window can still reach — bitwise equal to the scalar decode-only
-    ``mixed_step`` the stepwise body prices.  The engine's post-step
-    hook runs after each segment's commit: its occupancy sampling must
-    see every segment, not just the window end.
+    ``n_steps`` when each iteration closes.  The engine prices with the
+    bucketed model (``maybe_memoize`` at ``cost_bucket > 0``), so a
+    segment that stays inside its context bucket keeps its price.  At
+    the window's first bucket-edge crossing, ``engine._price`` fills a
+    table with the decode-only price of every edge the window can
+    still reach — the same query, at the same bucketed context, the
+    stepwise body makes there — and later segments read it.  The
+    engine's post-step hook runs after each segment's commit: its
+    occupancy sampling must see every segment, not just the window
+    end.
     """
     scheduler = engine.scheduler
     bucket, preemption = engine.config.cost_bucket, engine.config.preemption
@@ -1128,7 +1093,7 @@ def run_decode_window(
     incremental = scheduler._incremental
     min_rem = min(r.max_new_tokens - r.generated for r in decode)
     edge = ceil_div(max(plan.mean_decode_ctx, 1), bucket) * bucket
-    # Built on the first bucket-edge crossing: most windows end at the
+    # Filled on the first bucket-edge crossing: most windows end at the
     # next arrival inside their first bucket and never need it.
     prices: dict[int, float] | None = None
     clock = engine.clock
@@ -1138,7 +1103,7 @@ def run_decode_window(
         clock += step_s * k
         segments.append((step_s, k))
         min_rem -= k
-        commit_decode_window(scheduler, decode, ids, k, clock, min_rem <= 0)
+        scheduler.commit_decode(decode, ids, k, clock, min_rem <= 0)
         plan.decode_ctx_sum += batch * k
         engine._after_step()
         if min_rem <= 0:
@@ -1155,11 +1120,10 @@ def run_decode_window(
             edge = ceil_div(mean_ctx, bucket) * bucket
             if prices is None:
                 hi = ceil_div(mean_ctx + min_rem, bucket) * bucket
-                edges = list(range(edge, hi + bucket, bucket))
-                prices = dict(zip(
-                    edges,
-                    engine.costs.decode_step_batch(batch, edges).tolist(),
-                ))
+                prices = {
+                    e: engine._price(batch, e, 0, 0)
+                    for e in range(edge, hi + bucket, bucket)
+                }
             step_s = prices[edge]
         # A due arrival or a finished one-step iteration always ends the
         # iteration; otherwise only a one-step next segment does.

@@ -94,22 +94,16 @@ PHASES = (
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """What the recorder captures (``ServingConfig(telemetry=...)``).
+    """Whether a run records telemetry (``ServingConfig(telemetry=...)``).
 
-    ``enabled=False`` is exactly equivalent to not configuring
-    telemetry at all — no recorder is built, every instrumentation site
-    short-circuits on its ``None`` check.  The three facility toggles
-    trim recording cost for narrow studies (attribution-only runs skip
-    the event log, etc.).
+    A recorder captures everything: the event log, the metric timelines
+    and the per-request attribution.  ``enabled=False`` is exactly
+    equivalent to not configuring telemetry at all — no recorder is
+    built, every instrumentation site short-circuits on its ``None``
+    check — and, set explicitly, wins over an ambient :func:`recording`.
     """
 
     enabled: bool = True
-    #: Record structured events (the Chrome-trace export's source).
-    events: bool = True
-    #: Record counter/gauge/histogram samples.
-    metrics: bool = True
-    #: Run the per-request phase attribution state machine.
-    attribution: bool = True
 
     def build(self) -> "TraceRecorder | None":
         """A fresh recorder for one run (``None`` when disabled)."""
@@ -245,9 +239,6 @@ class TraceRecorder:
         self.metrics = MetricsRegistry()
         #: request_id → finished attribution rows.
         self.attributions: dict[int, RequestAttribution] = {}
-        self._events_on = self.config.events
-        self._metrics_on = self.config.metrics
-        self._attr_on = self.config.attribution
         # Attribution state machine: per live request, the time the
         # current phase started, which phase, and the charges so far.
         self._since: dict[int, float] = {}
@@ -269,11 +260,10 @@ class TraceRecorder:
         dur_s: float = 0.0,
         args: dict | None = None,
     ) -> None:
-        """Append one event (no-op when the event log is toggled off)."""
-        if self._events_on:
-            self.events.append(
-                TraceEvent(t_s, kind, track, request_id, dur_s, args)
-            )
+        """Append one event."""
+        self.events.append(
+            TraceEvent(t_s, kind, track, request_id, dur_s, args)
+        )
 
     # ------------------------------------------------------------------
     # The attribution state machine
@@ -285,8 +275,6 @@ class TraceRecorder:
         charged intervals telescope exactly over the request's life —
         the conservation property rests on this method alone.
         """
-        if not self._attr_on:
-            return
         rid = req.request_id
         since = self._since.get(rid)
         if since is None:
@@ -312,13 +300,11 @@ class TraceRecorder:
     def on_arrival(self, req, track: str = "router") -> None:
         """Register a request: attribution starts in ``queue``."""
         rid = req.request_id
-        if self._attr_on:
-            self._since[rid] = req.arrival_s
-            self._phase[rid] = "queue"
-            self._charges[rid] = {}
-            self._arrival[rid] = req.arrival_s
-        if self._metrics_on:
-            self.metrics.count("requests/offered")
+        self._since[rid] = req.arrival_s
+        self._phase[rid] = "queue"
+        self._charges[rid] = {}
+        self._arrival[rid] = req.arrival_s
+        self.metrics.count("requests/offered")
         self.emit(req.arrival_s, "arrival", track, rid)
 
     def on_admit(
@@ -338,12 +324,11 @@ class TraceRecorder:
         """
         rid = req.request_id
         phase = "preempt_recompute" if req.n_preemptions else "prefill"
-        if self._attr_on and rid in self._since:
+        if rid in self._since:
             self.transition(req, t, phase)
             if decompress_s > 0.0:
                 self._reassign(rid, phase, "decompress", decompress_s)
-        if self._metrics_on:
-            self.metrics.count("requests/admitted")
+        self.metrics.count("requests/admitted")
         args = {"hit_tokens": hit_tokens} if hit_tokens else None
         self.emit(t, "admit", track, rid, args=args)
 
@@ -357,8 +342,7 @@ class TraceRecorder:
     def on_preempt(self, req, t: float, track: str) -> None:
         """A running request was evicted (recompute preemption)."""
         self.transition(req, t, "queue")
-        if self._metrics_on:
-            self.metrics.count("requests/preempted")
+        self.metrics.count("requests/preempted")
         self.emit(t, "preempt", track, req.request_id)
 
     def on_transfer_enqueue(
@@ -382,10 +366,9 @@ class TraceRecorder:
         """One wire transfer served: ``wire`` from start to done."""
         self.transition(req, start, "wire")
         self.transition(req, done, "queue")
-        if self._metrics_on:
-            self.metrics.count("transfer/bytes", nbytes)
-            self.metrics.observe("transfer/wire_s", done - start)
-            self.metrics.observe("transfer/queue_s", start - ready)
+        self.metrics.count("transfer/bytes", nbytes)
+        self.metrics.observe("transfer/wire_s", done - start)
+        self.metrics.observe("transfer/queue_s", start - ready)
         self.emit(start, "wire", f"{track}/ch{channel}", req.request_id,
                   dur_s=done - start, args={"bytes": nbytes})
 
@@ -396,47 +379,39 @@ class TraceRecorder:
     def on_finish(self, req, t: float, track: str) -> None:
         """A request finished: close and freeze its attribution."""
         rid = req.request_id
-        if self._attr_on:
-            since = self._since.pop(rid, None)
-            if since is not None:
-                phase = self._phase.pop(rid)
-                charges = self._charges.pop(rid)
-                if t < since:
-                    t = since
-                elif t > since:
-                    charges[phase] = (
-                        charges.get(phase, 0.0) + (t - since)
-                    )
-                arrival = self._arrival.pop(rid, req.arrival_s)
-                self.attributions[rid] = RequestAttribution(
-                    request_id=rid,
-                    arrival_s=arrival,
-                    finish_s=t,
-                    queue_s=charges.get("queue", 0.0),
-                    prefill_s=charges.get("prefill", 0.0),
-                    transfer_wait_s=charges.get("transfer_wait", 0.0),
-                    wire_s=charges.get("wire", 0.0),
-                    decode_s=charges.get("decode", 0.0),
-                    preempt_recompute_s=charges.get(
-                        "preempt_recompute", 0.0
-                    ),
-                    decompress_s=charges.get("decompress", 0.0),
-                )
-        if self._metrics_on:
-            self.metrics.count("requests/finished")
-            self.metrics.observe("request/e2e_s", t - req.arrival_s)
+        since = self._since.pop(rid, None)
+        if since is not None:
+            phase = self._phase.pop(rid)
+            charges = self._charges.pop(rid)
+            if t < since:
+                t = since
+            elif t > since:
+                charges[phase] = charges.get(phase, 0.0) + (t - since)
+            arrival = self._arrival.pop(rid, req.arrival_s)
+            self.attributions[rid] = RequestAttribution(
+                request_id=rid,
+                arrival_s=arrival,
+                finish_s=t,
+                queue_s=charges.get("queue", 0.0),
+                prefill_s=charges.get("prefill", 0.0),
+                transfer_wait_s=charges.get("transfer_wait", 0.0),
+                wire_s=charges.get("wire", 0.0),
+                decode_s=charges.get("decode", 0.0),
+                preempt_recompute_s=charges.get("preempt_recompute", 0.0),
+                decompress_s=charges.get("decompress", 0.0),
+            )
+        self.metrics.count("requests/finished")
+        self.metrics.observe("request/e2e_s", t - req.arrival_s)
         self.emit(t, "finish", track, rid)
 
     def on_reject(self, req, t: float, track: str = "router") -> None:
         """Admission control refused a request at the front door."""
         rid = req.request_id
-        if self._attr_on:
-            self._since.pop(rid, None)
-            self._phase.pop(rid, None)
-            self._charges.pop(rid, None)
-            self._arrival.pop(rid, None)
-        if self._metrics_on:
-            self.metrics.count("requests/rejected")
+        self._since.pop(rid, None)
+        self._phase.pop(rid, None)
+        self._charges.pop(rid, None)
+        self._arrival.pop(rid, None)
+        self.metrics.count("requests/rejected")
         self.emit(t, "reject", track, rid)
 
     def on_route(self, req, t: float, replica: int) -> None:
@@ -446,8 +421,7 @@ class TraceRecorder:
 
     def on_stall(self, t: float, track: str) -> None:
         """Backpressure began stalling a prefill pool's admission."""
-        if self._metrics_on:
-            self.metrics.count("backpressure/stalls")
+        self.metrics.count("backpressure/stalls")
         self.emit(t, "stall_begin", track)
 
     def on_stall_clear(self, t: float, track: str) -> None:
@@ -458,14 +432,12 @@ class TraceRecorder:
                  args: dict | None = None) -> None:
         """A prefix-cache event (``cache_hit``/``cache_demote``/
         ``cache_evict``), emitted by :class:`PrefixCache` itself."""
-        if self._metrics_on:
-            self.metrics.count(f"cache/{kind.removeprefix('cache_')}s")
+        self.metrics.count(f"cache/{kind.removeprefix('cache_')}s")
         self.emit(t, kind, track, args=args)
 
     def on_scale(self, event) -> None:
         """An autoscaler action (:class:`~repro.serving.fleet.ScaleEvent`)."""
-        if self._metrics_on:
-            self.metrics.count(f"autoscaler/{event.action}")
+        self.metrics.count(f"autoscaler/{event.action}")
         self.emit(event.t_s, "scale", "autoscaler", args={
             "action": event.action,
             "replica": event.replica,
@@ -479,8 +451,6 @@ class TraceRecorder:
 
     def sample_engine(self, track: str, t: float, scheduler) -> None:
         """Gauge one engine's KV occupancy, batch size and queue depth."""
-        if not self._metrics_on:
-            return
         series = self._engine_series.get(track)
         if series is None:
             # Created (or found) once per track; every later sample is

@@ -17,6 +17,7 @@ Four groups:
 """
 
 import json
+import math
 
 import pytest
 
@@ -156,6 +157,13 @@ class TestCalibration:
             TensorClass("x", "kv", -1.0)
         with pytest.raises(ConfigError):
             glorot_sigma(0, 4)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_tensor_class_rejects_non_finite_sigma(self, value):
+        with pytest.raises(ConfigError, match=f"got {value}$"):
+            TensorClass("weight:x", "weight", value, (64, 64))
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ values).  Format-specific container checks stay in the per-format files;
 the *round-trip contract* lives here.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,13 @@ class TestSpecResolution:
         with pytest.raises(ConfigError):
             CompressionSpec(codec="none", placement="kv", ratio=0.5,
                             sigma=0.05)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_ratio_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"got {value}$"):
+            resolve_spec("tcatbe", "weight", ratio=value)
 
     def test_bad_placement_rejected(self):
         with pytest.raises(ConfigError):

@@ -12,6 +12,8 @@ The invariants under test (see ``serving/disagg.py``):
   (bit-compatible with :class:`ServingCore`).
 """
 
+import math
+
 import pytest
 
 from repro.errors import CapacityError, ConfigError
@@ -338,6 +340,13 @@ class TestConfigValidation:
     def test_bad_disagg_config(self, kwargs):
         with pytest.raises(ConfigError):
             DisaggConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_transfer_ratio_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"got {value}$"):
+            DisaggConfig(transfer_codec="kvcomp", transfer_ratio=value)
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError):

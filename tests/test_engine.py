@@ -1,5 +1,7 @@
 """Tests for the end-to-end inference engine."""
 
+import math
+
 import pytest
 
 from repro.errors import CapacityError, ConfigError
@@ -88,6 +90,13 @@ class TestRuns:
     def test_validation(self):
         with pytest.raises(ConfigError):
             engine().run(0, 64, 64)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_kv_compression_ratio_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"got {value}$"):
+            engine(kv_compression_ratio=value)
 
 
 class TestPreemption:

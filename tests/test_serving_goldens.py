@@ -7,7 +7,10 @@ makespan, token and step counts, preemptions, unfinished and rejected
 requests, peak batch, every request timing, pool, link, replica,
 prefix-cache and autoscaler accounting and, with telemetry on, the event
 stream, the gauge timelines and the attributions — as one sha256 per
-config in ``tests/data/serving_goldens.json``.
+config in ``tests/data/serving_goldens.json``.  Beside them,
+``tests/data/cost_cache_goldens.json`` pins the cost layer's work on
+every bucketed case: the ``cache_info()`` (hits, misses and live entries
+per step kind) of each memoized cost model the run priced through.
 
 Every config runs on llama3.1-8b / rtx4090 / zipserv with
 ``SchedulerLimits(16, 2048)``, once with exact costs (``cost_bucket=0``,
@@ -18,7 +21,7 @@ preemption storms, a prefix cache on a session trace, a deadline cut,
 disaggregated pools on a starved compressed link with and without
 backpressure, and three fleets.
 
-Regenerate (only for an intentional behaviour change) with::
+Regenerate both files (only for an intentional behaviour change) with::
 
     PYTHONPATH=src python tests/test_serving_goldens.py --write
 """
@@ -52,6 +55,7 @@ from repro.serving.serve import (
 from repro.serving.telemetry import TelemetryConfig
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "serving_goldens.json"
+COST_CACHE_PATH = Path(__file__).parent / "data" / "cost_cache_goldens.json"
 
 LIMITS = SchedulerLimits(max_num_seqs=16, max_batched_tokens=2048)
 BUCKETS = (0, 64)
@@ -176,10 +180,12 @@ CONFIGS = {
 }
 
 CASES = [f"{name}@{bucket}" for name in CONFIGS for bucket in BUCKETS]
+#: The cases that price through a memoized cost model.
+BUCKETED_CASES = [case for case in CASES if not case.endswith("@0")]
 
 
-def run_case(case: str):
-    """Serve one golden case; returns the ``ContinuousResult``."""
+def serve_case(case: str):
+    """Serve one golden case; returns ``(core, ContinuousResult)``."""
     name, bucket = case.split("@")
     config_of, trace_of, kv_frac, deadline = CONFIGS[name]
     config = config_of(int(bucket))
@@ -192,7 +198,22 @@ def run_case(case: str):
     core = core_cls(
         engine.costs, engine.kv_spec, kv_frac * engine.plan.kv_bytes, config
     )
-    return core.serve(trace_of(), deadline_s=deadline)
+    return core, core.serve(trace_of(), deadline_s=deadline)
+
+
+def run_case(case: str):
+    """Serve one golden case; returns the ``ContinuousResult``."""
+    return serve_case(case)[1]
+
+
+def cost_cache_info(core) -> list:
+    """``cache_info()`` of every memoized cost model ``core`` priced with
+    (a fleet keeps one per cost bucket, shared by its cells)."""
+    models = (
+        core._memoized.values() if isinstance(core, FleetCore)
+        else [core.costs]
+    )
+    return [model.cache_info() for model in models]
 
 
 def digest(result) -> str:
@@ -222,9 +243,21 @@ def compute_goldens() -> dict:
     return {case: digest(run_case(case)) for case in CASES}
 
 
+def compute_cost_cache_goldens() -> dict:
+    return {
+        case: cost_cache_info(serve_case(case)[0])
+        for case in BUCKETED_CASES
+    }
+
+
 @pytest.fixture(scope="module")
 def goldens() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def cost_cache_goldens() -> dict:
+    return json.loads(COST_CACHE_PATH.read_text())
 
 
 _HINT = (
@@ -243,8 +276,26 @@ def test_goldens_cover_every_case(goldens):
     assert sorted(goldens) == sorted(CASES)
 
 
+@pytest.mark.parametrize("case", BUCKETED_CASES)
+def test_cost_cache_work_matches_golden(cost_cache_goldens, case):
+    # Every pricing query, hit and miss per step kind: a change that
+    # keeps the outputs but reprices more (or less) shows up here.
+    core, _ = serve_case(case)
+    assert cost_cache_info(core) == cost_cache_goldens[case], (
+        "cost-cache work drifted from tests/data/cost_cache_goldens.json"
+    )
+
+
+def test_cost_cache_goldens_cover_every_bucketed_case(cost_cache_goldens):
+    assert sorted(cost_cache_goldens) == sorted(BUCKETED_CASES)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(f"usage: {sys.argv[0]} --write")
     GOLDEN_PATH.write_text(json.dumps(compute_goldens(), indent=1) + "\n")
     print(f"wrote {GOLDEN_PATH}")
+    COST_CACHE_PATH.write_text(
+        json.dumps(compute_cost_cache_goldens(), indent=1) + "\n"
+    )
+    print(f"wrote {COST_CACHE_PATH}")
