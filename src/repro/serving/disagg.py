@@ -75,6 +75,8 @@ whose footprint can never satisfy the backpressure watermark) raises
 from __future__ import annotations
 
 import heapq
+from bisect import insort
+from itertools import chain, takewhile
 
 from ..compression import resolve_spec
 from ..errors import CapacityError, ConfigError, SchedulingError
@@ -246,9 +248,6 @@ class PrefillPoolStage(Stage):
         self.n_prefills = 0
         #: Starts may never predate the instant a stall cleared.
         self._floor = 0.0
-        self._head_cache: tuple[tuple[float, int, int], Request] | None = (
-            None
-        )
 
     # ------------------------------------------------------------------
     def _next_start_time(self) -> float | None:
@@ -261,22 +260,11 @@ class PrefillPoolStage(Stage):
         return self.pending[0].arrival_s
 
     def _peek_head(self, t: float) -> Request:
-        """The request the policy would start at decision time ``t``.
-
-        The backpressure gate consults this on every kernel poll; the
-        candidate set only changes when a start mutates the queues
-        (which always moves a queue length), so the policy sort is
-        cached on ``(t, len(waiting), len(pending))``.
-        """
-        key = (t, len(self.waiting), len(self.pending))
-        if self._head_cache is not None and self._head_cache[0] == key:
-            return self._head_cache[1]
-        candidates = self.waiting + [
-            r for r in self.pending if r.arrival_s <= t
-        ]
-        head = self.policy.order_waiting(candidates)[0]
-        self._head_cache = (key, head)
-        return head
+        """The request the policy would start at decision time ``t``:
+        the queue's head or an arrival due by ``t``, whichever ranks
+        first (the backpressure gate consults this on every poll)."""
+        due = takewhile(lambda r: r.arrival_s <= t, self.pending)
+        return min(chain(self.waiting[:1], due), key=self.policy.waiting_key)
 
     # ------------------------------------------------------------------
     def next_event_time(self) -> float | None:
@@ -312,16 +300,14 @@ class PrefillPoolStage(Stage):
             self._start_one(now)
 
     def _start_one(self, now: float) -> None:
-        """One prefill start: the sequential pool's loop body, verbatim."""
+        """One prefill start: the sequential pool's loop body."""
         now_r, idx = heapq.heappop(self._free)
-        while self.pending and self.pending[0].arrival_s <= now_r:
-            self.waiting.append(self.pending.pop(0))
-        if not self.waiting:
-            now_r = max(now_r, self.pending[0].arrival_s)
-            while self.pending and self.pending[0].arrival_s <= now_r:
-                self.waiting.append(self.pending.pop(0))
-        req = self.policy.order_waiting(self.waiting)[0]
-        self.waiting.remove(req)
+        pending, key = self.pending, self.policy.waiting_key
+        if not self.waiting and pending[0].arrival_s > now_r:
+            now_r = pending[0].arrival_s  # idle until the next arrival
+        while pending and pending[0].arrival_s <= now_r:
+            insort(self.waiting, pending.pop(0), key=key)
+        req = self.waiting.pop(0)
         start = max(now_r, req.arrival_s)
         if self.gate.resumed(now):
             # The stall cleared at `now`; forbid this (and any later)
@@ -393,8 +379,7 @@ class _PrefillReplica(EngineReplica):
         scheduler = self.scheduler
         if self.pool.backpressure is None or not scheduler.waiting:
             return False
-        head = scheduler.policy.order_waiting(scheduler.waiting)[0]
-        return self.pool.gate.stalled(head, now)
+        return self.pool.gate.stalled(scheduler.waiting[0], now)
 
     def _admit(self, now: float) -> bool:
         scheduler, pool = self.scheduler, self.pool

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
+from ..utils import require_finite
 from .metrics import ContinuousResult, ServingMetrics, SLOTarget
 from .profiles import WorkloadProfile, get_profile
 from .scheduler import Request
@@ -73,6 +74,7 @@ def open_loop_arrivals(
     than fixed.  May legitimately be empty when ``rate * duration`` is
     tiny.
     """
+    require_finite(rate_rps=rate_rps, duration_s=duration_s)
     if rate_rps <= 0:
         raise ConfigError("rate_rps must be positive")
     if duration_s <= 0:

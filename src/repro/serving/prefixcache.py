@@ -36,6 +36,7 @@ the hit to a block multiple — partial blocks are never reusable.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..analysis.calibration import decode_cycles_per_element
@@ -198,17 +199,6 @@ class PrefixCacheStats:
         )
 
 
-class _Entry:
-    """One cached prefix: its token count, tier and LRU stamp."""
-
-    __slots__ = ("n_tokens", "tier", "tick")
-
-    def __init__(self, n_tokens: int, tier: str, tick: int):
-        self.n_tokens = n_tokens
-        self.tier = tier
-        self.tick = tick
-
-
 class PrefixCache:
     """Two-tier LRU prefix cache over block-granular KV bytes.
 
@@ -216,6 +206,12 @@ class PrefixCache:
     ``Request.session_id``).  All byte accounting is deterministic
     integer/float arithmetic off the KV geometry — no wall clock, no
     randomness — so runs are reproducible.
+
+    ``_hot`` and ``_cold`` map prefix id → cached tokens, least recently
+    used first.  A hit or store moves its entry to the end of ``_hot``;
+    a demotion appends hot's first entry to ``_cold``, which therefore
+    stays in last-touch order too (every entry demoted later was
+    touched later).
     """
 
     def __init__(
@@ -247,8 +243,8 @@ class PrefixCache:
         )
         self.cold_ratio = float(cold_ratio)
         self.cold_hit_s_per_token = float(cold_hit_s_per_token)
-        self._entries: dict[object, _Entry] = {}
-        self._tick = 0
+        self._hot: OrderedDict[object, int] = OrderedDict()
+        self._cold: OrderedDict[object, int] = OrderedDict()
         self.bytes_hot = 0.0
         self.bytes_cold = 0.0
         self.n_lookups = 0
@@ -273,14 +269,6 @@ class PrefixCache:
         blocks = ceil_div(n_tokens, self.spec.block_size)
         return float(blocks * self.spec.bytes_per_block)
 
-    def _tier_bytes(self, entry: _Entry) -> float:
-        raw = self._raw_bytes(entry.n_tokens)
-        return raw if entry.tier == "hot" else raw / self.cold_ratio
-
-    def _touch(self, entry: _Entry) -> None:
-        self._tick += 1
-        entry.tick = self._tick
-
     # ------------------------------------------------------------------
     def lookup(self, prefix_id, prefix_tokens: int) -> tuple[int, float]:
         """Resolve a prefix: ``(cached tokens, decompress delay)``.
@@ -292,12 +280,16 @@ class PrefixCache:
         """
         self.n_lookups += 1
         self.offered_prefix_tokens += max(int(prefix_tokens), 0)
-        entry = self._entries.get(prefix_id)
-        if entry is None or prefix_tokens <= 0:
+        tier = "hot"
+        n_tokens = self._hot.get(prefix_id)
+        if n_tokens is None:
+            tier = "cold"
+            n_tokens = self._cold.get(prefix_id)
+        if n_tokens is None or prefix_tokens <= 0:
             self.n_misses += 1
             return 0, 0.0
         block = self.spec.block_size
-        hit = min(entry.n_tokens, int(prefix_tokens))
+        hit = min(n_tokens, int(prefix_tokens))
         hit = (hit // block) * block
         if hit <= 0:
             self.n_misses += 1
@@ -305,15 +297,16 @@ class PrefixCache:
         self.n_hits += 1
         self.hit_tokens += hit
         delay_s = 0.0
-        tier = entry.tier
-        if entry.tier == "cold":
+        if tier == "cold":
             delay_s = hit * self.cold_hit_s_per_token
             self.cold_delay_s += delay_s
             # Promote: the whole entry moves back to serving form.
-            self.bytes_cold -= self._tier_bytes(entry)
-            entry.tier = "hot"
-            self.bytes_hot += self._tier_bytes(entry)
-        self._touch(entry)
+            raw = self._raw_bytes(self._cold.pop(prefix_id))
+            self.bytes_cold -= raw / self.cold_ratio
+            self.bytes_hot += raw
+            self._hot[prefix_id] = n_tokens
+        else:
+            self._hot.move_to_end(prefix_id)
         self._rebalance()
         if self.telemetry is not None:
             self.telemetry.on_cache(
@@ -330,76 +323,50 @@ class PrefixCache:
         """
         if n_tokens <= 0:
             return
-        entry = self._entries.get(prefix_id)
-        if entry is None:
-            entry = _Entry(int(n_tokens), "hot", 0)
-            self._entries[prefix_id] = entry
-            self.bytes_hot += self._tier_bytes(entry)
-        else:
-            self.bytes_hot -= (
-                self._tier_bytes(entry) if entry.tier == "hot" else 0.0
-            )
-            self.bytes_cold -= (
-                self._tier_bytes(entry) if entry.tier == "cold" else 0.0
-            )
-            entry.n_tokens = max(entry.n_tokens, int(n_tokens))
-            entry.tier = "hot"
-            self.bytes_hot += self._tier_bytes(entry)
-        self._touch(entry)
+        n_tokens = int(n_tokens)
+        if prefix_id in self._hot:
+            cached = self._hot.pop(prefix_id)
+            self.bytes_hot -= self._raw_bytes(cached)
+            n_tokens = max(cached, n_tokens)
+        elif prefix_id in self._cold:
+            cached = self._cold.pop(prefix_id)
+            self.bytes_cold -= self._raw_bytes(cached) / self.cold_ratio
+            n_tokens = max(cached, n_tokens)
+        self._hot[prefix_id] = n_tokens
+        self.bytes_hot += self._raw_bytes(n_tokens)
         self._rebalance()
 
     # ------------------------------------------------------------------
-    def _lru(self, tier: str) -> object | None:
-        """The least-recently-used key of one tier (None if empty)."""
-        best_key, best_tick = None, None
-        for key, entry in self._entries.items():
-            if entry.tier != tier:
-                continue
-            if best_tick is None or entry.tick < best_tick:
-                best_key, best_tick = key, entry.tick
-        return best_key
-
     def _rebalance(self) -> None:
         """LRU-demote hot→cold, then LRU-evict cold→gone, to capacity."""
-        while self.bytes_hot > self.hot_capacity_bytes:
-            key = self._lru("hot")
-            if key is None:
-                break
-            entry = self._entries[key]
+        hot, cold, tel = self._hot, self._cold, self.telemetry
+        while self.bytes_hot > self.hot_capacity_bytes and hot:
+            key, n_tokens = hot.popitem(last=False)
             # Demotion conserves content: the same tokens, raw bytes
             # shrunk by exactly the cold ratio.
-            self.bytes_hot -= self._tier_bytes(entry)
-            entry.tier = "cold"
-            self.bytes_cold += self._tier_bytes(entry)
+            raw = self._raw_bytes(n_tokens)
+            self.bytes_hot -= raw
+            cold[key] = n_tokens
+            self.bytes_cold += raw / self.cold_ratio
             self.n_demotions += 1
-            if self.telemetry is not None:
-                self.telemetry.on_cache(
-                    "cache_demote", self.now, self.track,
-                    args={"tokens": entry.n_tokens},
-                )
-        while self.bytes_cold > self.cold_capacity_bytes:
-            key = self._lru("cold")
-            if key is None:
-                break
-            entry = self._entries.pop(key)
-            self.bytes_cold -= self._tier_bytes(entry)
+            if tel is not None:
+                tel.on_cache("cache_demote", self.now, self.track,
+                             args={"tokens": n_tokens})
+        while self.bytes_cold > self.cold_capacity_bytes and cold:
+            _, n_tokens = cold.popitem(last=False)
+            self.bytes_cold -= self._raw_bytes(n_tokens) / self.cold_ratio
             self.n_evictions += 1
-            if self.telemetry is not None:
-                self.telemetry.on_cache(
-                    "cache_evict", self.now, self.track,
-                    args={"tokens": entry.n_tokens},
-                )
+            if tel is not None:
+                tel.on_cache("cache_evict", self.now, self.track,
+                             args={"tokens": n_tokens})
 
     # ------------------------------------------------------------------
     @property
     def n_entries(self) -> int:
-        return len(self._entries)
+        return len(self._hot) + len(self._cold)
 
     def stats(self) -> PrefixCacheStats:
         """Snapshot the counters as an immutable stats row."""
-        n_hot = sum(
-            1 for e in self._entries.values() if e.tier == "hot"
-        )
         return PrefixCacheStats(
             n_lookups=self.n_lookups,
             n_hits=self.n_hits,
@@ -410,7 +377,7 @@ class PrefixCache:
             n_evictions=self.n_evictions,
             bytes_hot=self.bytes_hot,
             bytes_cold=self.bytes_cold,
-            n_entries_hot=n_hot,
-            n_entries_cold=len(self._entries) - n_hot,
+            n_entries_hot=len(self._hot),
+            n_entries_cold=len(self._cold),
             cold_delay_s=self.cold_delay_s,
         )

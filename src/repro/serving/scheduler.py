@@ -26,8 +26,8 @@ Invariants this layer guarantees (tested in ``tests/test_scheduler.py``):
   policy's ``waiting_key`` and admission stops at the first request that
   does not fit; smaller requests never skip past the policy's favourite.
 * **preemption ordering** — victims are chosen strictly by the policy's
-  ``victim_key`` (first in ``order_victims`` is evicted first), and the
-  last running request is never preempted: ``ensure_decode_capacity``
+  ``victim_key`` (the key-minimal running request is evicted first), and
+  the last running request is never preempted: ``ensure_decode_capacity``
   raises :class:`~repro.errors.CapacityError` instead of emptying the
   running set.
 * **recompute debt** — a preempted request re-enters the waiting queue
@@ -45,7 +45,9 @@ import enum
 from bisect import insort
 from dataclasses import dataclass, field
 
-from ..errors import CapacityError, SchedulingError, UnknownSpecError
+from ..errors import (
+    CapacityError, ConfigError, SchedulingError, UnknownSpecError,
+)
 from .kvcache import PagedKVCache
 
 
@@ -153,9 +155,13 @@ class StaticBatchScheduler:
 class SchedulerPolicy:
     """Admission ordering + preemption-victim ordering.
 
-    Subclasses override the two key functions; the scheduler keeps the
-    head-of-line blocking discipline (no skips past a request the policy
-    ranked first), so a policy is exactly an ordering.
+    Subclasses override the two key functions, and the two keys are the
+    whole contract: every waiting queue is kept insorted by
+    ``waiting_key`` (so its head is read, never sorted) and the victim
+    is the ``victim_key``-minimal running request.  Keys must not change
+    while a request waits.  The scheduler keeps the head-of-line
+    blocking discipline (no skips past a request the policy ranked
+    first), so a policy is exactly an ordering.
     """
 
     name = "base"
@@ -167,28 +173,6 @@ class SchedulerPolicy:
     def victim_key(self, req: Request):
         """Sort key over running requests (first = preempted first)."""
         raise NotImplementedError
-
-    def order_waiting(self, waiting: list[Request]) -> list[Request]:
-        """The waiting queue in admission order."""
-        return sorted(waiting, key=self.waiting_key)
-
-    def order_victims(self, running: list[Request]) -> list[Request]:
-        """Running requests in preemption order."""
-        return sorted(running, key=self.victim_key)
-
-    @property
-    def supports_incremental_order(self) -> bool:
-        """Whether queues may be kept sorted by ``waiting_key`` insorts.
-
-        True exactly when the policy's admission order *is* the key sort
-        — i.e. :meth:`order_waiting` was not overridden.  Every built-in
-        policy qualifies (their keys end in ``request_id``, a total
-        order, so insorted insertion reproduces ``order_waiting``
-        element-for-element); a subclass that overrides
-        :meth:`order_waiting` to do something richer than a key sort
-        falls back to whole-queue re-sorts automatically.
-        """
-        return type(self).order_waiting is SchedulerPolicy.order_waiting
 
 
 class FCFSPolicy(SchedulerPolicy):
@@ -234,8 +218,8 @@ class AgingPriorityPolicy(PriorityPolicy):
     the ``aging_rate * t`` term is common and cancels, leaving
     ``priority - aging_rate * arrival_s`` — a static per-request key that
     still orders exactly like the time-dependent effective priority.
-    (This is also why aging composes with the scheduler's sorted-queue
-    caching: relative order never changes as time passes.)
+    (This is also why aging composes with the scheduler's key-sorted
+    queue: relative order never changes as time passes.)
 
     Preemption mirrors admission: the victim is the request whose
     effective priority is lowest *now*, ties to the youngest.
@@ -309,6 +293,12 @@ class SchedulerLimits:
 
     max_num_seqs: int = 256
     max_batched_tokens: int = 8192
+
+    def __post_init__(self) -> None:
+        for name in ("max_num_seqs", "max_batched_tokens"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -394,40 +384,15 @@ class ContinuousBatchScheduler:
         self.telemetry = None
         self._now = 0.0
         self.track = "engine"
-        self._waiting_dirty = False
-        #: Built-in policies admit in ``waiting_key`` order, so the
-        #: waiting queue can be kept sorted by O(log n) insorts instead
-        #: of a whole-queue re-sort per admission round (the profiled
-        #: hot spot on large traces, where the queue backs up to
-        #: thousands).  Policies overriding ``order_waiting`` keep the
-        #: legacy dirty-flag re-sort.
-        self._incremental = self.policy.supports_incremental_order
 
     def _enqueue_waiting(self, request: Request) -> None:
-        """Add to the waiting queue, preserving admission order.
+        """Add to the waiting queue, keeping it in ``waiting_key`` order.
 
-        While the incremental invariant holds (``_waiting_dirty`` is
-        False) the queue is already in ``waiting_key`` order and an
-        insort keeps it there — identical to the ``sorted()`` result
-        because every built-in key ends in ``request_id``, making keys
-        unique.  Otherwise append and let :meth:`admit` re-sort.
+        One insort per arrival or preemption instead of a whole-queue
+        re-sort per admission round (the queue backs up to thousands on
+        large traces); ``waiting[0]`` is then always the policy's head.
         """
-        if self._incremental and not self._waiting_dirty:
-            insort(self.waiting, request, key=self.policy.waiting_key)
-        else:
-            self.waiting.append(request)
-            self._waiting_dirty = True
-
-    def waiting_head(self) -> Request:
-        """The request the policy would admit next (queue must be non-empty)."""
-        if not self._incremental:
-            # A custom order_waiting may consult external state; always
-            # ask it fresh rather than trusting a cached sort.
-            return self.policy.order_waiting(self.waiting)[0]
-        if self._waiting_dirty:
-            self.waiting = self.policy.order_waiting(self.waiting)
-            self._waiting_dirty = False
-        return self.waiting[0]
+        insort(self.waiting, request, key=self.policy.waiting_key)
 
     def _fits(self, req: Request) -> bool:
         """Whether ``req`` can be admitted now: a free sequence slot, and
@@ -441,10 +406,9 @@ class ContinuousBatchScheduler:
         """Whether ``admit(enforce_token_budget=False)`` would admit nothing.
 
         True when the queue is empty or the policy's head does not fit
-        (:meth:`_fits`, the test :meth:`admit` stops at).  Read-only up to
-        the admission-order sort :meth:`admit` would perform itself.
+        (:meth:`_fits`, the test :meth:`admit` stops at).  Read-only.
         """
-        return not self.waiting or not self._fits(self.waiting_head())
+        return not self.waiting or not self._fits(self.waiting[0])
 
     def submit(self, request: Request) -> None:
         """Queue a new request."""
@@ -483,9 +447,6 @@ class ContinuousBatchScheduler:
         the backpressure-aware chunked prefill pool — admits one request
         at a time with it.
         """
-        if self._waiting_dirty:
-            self.waiting = self.policy.order_waiting(self.waiting)
-            self._waiting_dirty = False
         admitted = []
         budget = self.limits.max_batched_tokens
         while self.waiting:
@@ -739,7 +700,7 @@ class ContinuousBatchScheduler:
                 raise CapacityError(
                     "KV cache cannot grow the last running request"
                 )
-            victim = self.policy.order_victims(self.running)[0]
+            victim = min(self.running, key=self.policy.victim_key)
             self.preempt(victim)
             if victim in decode:
                 decode.remove(victim)

@@ -220,8 +220,11 @@ class DisaggConfig:
             raise ConfigError("each pool needs at least one replica")
         if not self.link_gb_per_s > 0:
             raise ConfigError("link_gb_per_s must be positive (inf allowed)")
-        if self.link_latency_s < 0:
-            raise ConfigError("link_latency_s must be >= 0")
+        latency = self.link_latency_s
+        if not (math.isfinite(latency) and latency >= 0):
+            raise ConfigError(
+                f"link_latency_s must be finite and >= 0, got {latency}"
+            )
         get_codec(self.transfer_codec)  # raises UnknownSpecError if absent
         ratio = self.transfer_ratio
         if ratio is not None and not (math.isfinite(ratio) and ratio >= 1.0):
@@ -629,13 +632,12 @@ class EngineReplica:
 
         Only within the kernel's deadline: submit the arrivals due now,
         then report whether admission is a provable no-op — the queue is
-        empty, or the policy keeps its incremental order and its head
-        does not fit (the scheduler's ``admission_blocked``, the
-        predicate ``admit`` itself stops at).  On success the kernel's
-        clock moves to the iteration's start, as if it had advanced
-        this stage there.  On failure the submitted arrivals simply wait
-        for the next kernel advance, whose head finds nothing left to
-        submit.
+        empty or its head does not fit (the scheduler's
+        ``admission_blocked``, the predicate ``admit`` itself stops at).
+        On success the kernel's clock moves to the iteration's start, as
+        if it had advanced this stage there.  On failure the submitted
+        arrivals simply wait for the next kernel advance, whose head
+        finds nothing left to submit.
         """
         kernel, clock = self._kernel, self.clock
         if kernel.until is not None and clock > kernel.until:
@@ -645,9 +647,7 @@ class EngineReplica:
             scheduler._now = clock
         while pending and pending[0][0] <= clock:
             scheduler.submit(heappop(pending)[2])
-        if scheduler.waiting and not (
-            scheduler._incremental and scheduler.admission_blocked()
-        ):
+        if not scheduler.admission_blocked():
             return False
         kernel.now = clock
         return True
@@ -1024,10 +1024,7 @@ def run_decode_window(
       ``next_event_s`` (the caller folds its upstream horizon in), so no
       submits happen and, with no finishes either, admission's blocker
       (sequence slots, or free KV, which only shrinks while decode
-      grows) persists — the attempt stays a no-op.  With a custom
-      admission order (``order_waiting`` overridden) a non-empty queue
-      ends the window conservatively: such an order may be
-      time-dependent, and only whole-queue re-sorts observe it.
+      grows) persists — the attempt stays a no-op.
     * **no preemptions** — chaining continues only where
       ``ensure_decode_capacity`` would return without acting.
     * **same plan** — no finishes and a no-op admission leave the
@@ -1090,7 +1087,6 @@ def run_decode_window(
     batch = len(decode)
     ids = [r.request_id for r in decode]
     kv = scheduler.kv
-    incremental = scheduler._incremental
     min_rem = min(r.max_new_tokens - r.generated for r in decode)
     edge = ceil_div(max(plan.mean_decode_ctx, 1), bucket) * bucket
     # Filled on the first bucket-edge crossing: most windows end at the
@@ -1107,8 +1103,6 @@ def run_decode_window(
         plan.decode_ctx_sum += batch * k
         engine._after_step()
         if min_rem <= 0:
-            break
-        if scheduler.waiting and not incremental:
             break
         if (preemption or replay) and not kv.can_append(ids, 1):
             break

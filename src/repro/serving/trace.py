@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+from ..utils import require_finite
 from .scheduler import Request
 
 
@@ -94,6 +95,7 @@ def poisson_trace(
     """
     if n_requests <= 0:
         raise ConfigError("need at least one request")
+    require_finite(rate_rps=rate_rps, start_at=start_at)
     if rate_rps <= 0:
         raise ConfigError("arrival rate must be positive")
     rng = np.random.default_rng(seed)
@@ -122,6 +124,7 @@ class TenantSpec:
     priority: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(rate_rps=self.rate_rps)
         if self.rate_rps <= 0:
             raise ConfigError("tenant arrival rate must be positive")
         if self.n_requests <= 0:
@@ -166,6 +169,7 @@ def multi_tenant_trace(
     tenants = tenants if tenants is not None else DEFAULT_TENANTS
     if not tenants:
         raise ConfigError("need at least one tenant")
+    require_finite(start_at=start_at)
     rng = np.random.default_rng(seed)
     drafts: list[tuple[float, str, int, int, TenantSpec]] = []
     for name in sorted(tenants):
@@ -240,6 +244,10 @@ def session_trace(
     """
     if n_sessions <= 0:
         raise ConfigError("need at least one session")
+    require_finite(
+        session_rate_rps=session_rate_rps, mean_turns=mean_turns,
+        think_time_s=think_time_s, start_at=start_at,
+    )
     if session_rate_rps <= 0:
         raise ConfigError("session arrival rate must be positive")
     if mean_turns < 1.0:

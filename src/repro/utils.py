@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 #: Bytes per gibibyte; the paper reports weight footprints in GiB.
 GIB = float(1 << 30)
@@ -52,6 +52,14 @@ def human_time(seconds: float) -> str:
     if seconds >= 1e-6:
         return f"{seconds * 1e6:.3f} us"
     return f"{seconds * 1e9:.1f} ns"
+
+
+def require_finite(**values: float | None) -> None:
+    """Raise :class:`ConfigError` naming the first NaN or infinite value
+    (``None`` passes: it means "not set")."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def require_2d(array: np.ndarray, name: str = "array") -> None:

@@ -348,6 +348,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"got {value}$"):
             DisaggConfig(transfer_codec="kvcomp", transfer_ratio=value)
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_link_latency_rejected(self, value):
+        # Unchecked, NaN stalls the event kernel and inf serves a run
+        # whose makespan is inf.
+        with pytest.raises(ConfigError, match=f"got {value}$"):
+            DisaggConfig(link_latency_s=value)
+
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
             ServingConfig(mode="sharded")

@@ -131,6 +131,19 @@ class TestOpenLoopArrivals:
         with pytest.raises(ConfigError):
             open_loop_arrivals(10.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("name", ["rate_rps", "duration_s"])
+    def test_non_finite_rejected(self, name, value):
+        # Unchecked, these fail as an untyped ValueError or
+        # OverflowError while sizing the first chunk of gaps.
+        args = {"rate_rps": 10.0, "duration_s": 10.0, name: value}
+        with pytest.raises(
+            ConfigError, match=f"^{name} must be finite, got {value}$"
+        ):
+            open_loop_arrivals(**args, seed=1)
+
 
 class TestArrivalIndependence:
     """The defining open-loop property: completions cannot shape load."""

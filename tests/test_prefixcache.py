@@ -8,6 +8,8 @@ demotion by exactly the cold codec ratio.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, UnknownSpecError
 from repro.serving.kvcache import KVCacheSpec
@@ -17,6 +19,7 @@ from repro.serving.prefixcache import (
     PrefixCacheStats,
     cold_hit_seconds_per_token,
 )
+from repro.serving.telemetry import TraceRecorder
 
 #: Tiny geometry: 64 B/token, 1024 B/block (block_size 16).
 SPEC = KVCacheSpec(n_layers=2, kv_heads=2, head_dim=4, block_size=16)
@@ -32,6 +35,175 @@ def make_cache(blocks_hot=4, blocks_cold=4, cold_ratio=1.0, cold_s=0.0):
         cold_ratio=cold_ratio,
         cold_hit_s_per_token=cold_s,
     )
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the tick-scan cache the LRU-ordered tiers replaced
+# ----------------------------------------------------------------------
+class _Entry:
+    """One cached prefix: its token count, tier and LRU stamp."""
+
+    __slots__ = ("n_tokens", "tier", "tick")
+
+    def __init__(self, n_tokens: int, tier: str, tick: int):
+        self.n_tokens = n_tokens
+        self.tier = tier
+        self.tick = tick
+
+
+class _ReferenceCache(PrefixCache):
+    """The prefix cache before its tiers held LRU order by position,
+    kept verbatim: one entry table stamped from a global tick, and a
+    linear scan of it for each demotion's or eviction's least recently
+    used entry.  Only the constructor's two lines that set up the table
+    are new; everything else it inherits is the unchanged sizing."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._entries: dict[object, _Entry] = {}
+        self._tick = 0
+
+    def _tier_bytes(self, entry: _Entry) -> float:
+        raw = self._raw_bytes(entry.n_tokens)
+        return raw if entry.tier == "hot" else raw / self.cold_ratio
+
+    def _touch(self, entry: _Entry) -> None:
+        self._tick += 1
+        entry.tick = self._tick
+
+    # ------------------------------------------------------------------
+    def lookup(self, prefix_id, prefix_tokens: int) -> tuple[int, float]:
+        """Resolve a prefix: ``(cached tokens, decompress delay)``.
+
+        The hit is ``min(cached, offered)`` floored to a block multiple
+        — never more than the request actually shares, never a partial
+        block.  A cold hit accrues the per-token decompress charge and
+        the entry is promoted hot (which may demote colder neighbours).
+        """
+        self.n_lookups += 1
+        self.offered_prefix_tokens += max(int(prefix_tokens), 0)
+        entry = self._entries.get(prefix_id)
+        if entry is None or prefix_tokens <= 0:
+            self.n_misses += 1
+            return 0, 0.0
+        block = self.spec.block_size
+        hit = min(entry.n_tokens, int(prefix_tokens))
+        hit = (hit // block) * block
+        if hit <= 0:
+            self.n_misses += 1
+            return 0, 0.0
+        self.n_hits += 1
+        self.hit_tokens += hit
+        delay_s = 0.0
+        tier = entry.tier
+        if entry.tier == "cold":
+            delay_s = hit * self.cold_hit_s_per_token
+            self.cold_delay_s += delay_s
+            # Promote: the whole entry moves back to serving form.
+            self.bytes_cold -= self._tier_bytes(entry)
+            entry.tier = "hot"
+            self.bytes_hot += self._tier_bytes(entry)
+        self._touch(entry)
+        self._rebalance()
+        if self.telemetry is not None:
+            self.telemetry.on_cache(
+                "cache_hit", self.now, self.track,
+                args={"tokens": hit, "tier": tier, "delay_s": delay_s},
+            )
+        return hit, delay_s
+
+    def store(self, prefix_id, n_tokens: int) -> None:
+        """Insert or extend a prefix (always lands hot, then rebalances).
+
+        A shorter ``n_tokens`` than already cached never truncates —
+        the longer prefix strictly subsumes it.
+        """
+        if n_tokens <= 0:
+            return
+        entry = self._entries.get(prefix_id)
+        if entry is None:
+            entry = _Entry(int(n_tokens), "hot", 0)
+            self._entries[prefix_id] = entry
+            self.bytes_hot += self._tier_bytes(entry)
+        else:
+            self.bytes_hot -= (
+                self._tier_bytes(entry) if entry.tier == "hot" else 0.0
+            )
+            self.bytes_cold -= (
+                self._tier_bytes(entry) if entry.tier == "cold" else 0.0
+            )
+            entry.n_tokens = max(entry.n_tokens, int(n_tokens))
+            entry.tier = "hot"
+            self.bytes_hot += self._tier_bytes(entry)
+        self._touch(entry)
+        self._rebalance()
+
+    # ------------------------------------------------------------------
+    def _lru(self, tier: str) -> object | None:
+        """The least-recently-used key of one tier (None if empty)."""
+        best_key, best_tick = None, None
+        for key, entry in self._entries.items():
+            if entry.tier != tier:
+                continue
+            if best_tick is None or entry.tick < best_tick:
+                best_key, best_tick = key, entry.tick
+        return best_key
+
+    def _rebalance(self) -> None:
+        """LRU-demote hot→cold, then LRU-evict cold→gone, to capacity."""
+        while self.bytes_hot > self.hot_capacity_bytes:
+            key = self._lru("hot")
+            if key is None:
+                break
+            entry = self._entries[key]
+            # Demotion conserves content: the same tokens, raw bytes
+            # shrunk by exactly the cold ratio.
+            self.bytes_hot -= self._tier_bytes(entry)
+            entry.tier = "cold"
+            self.bytes_cold += self._tier_bytes(entry)
+            self.n_demotions += 1
+            if self.telemetry is not None:
+                self.telemetry.on_cache(
+                    "cache_demote", self.now, self.track,
+                    args={"tokens": entry.n_tokens},
+                )
+        while self.bytes_cold > self.cold_capacity_bytes:
+            key = self._lru("cold")
+            if key is None:
+                break
+            entry = self._entries.pop(key)
+            self.bytes_cold -= self._tier_bytes(entry)
+            self.n_evictions += 1
+            if self.telemetry is not None:
+                self.telemetry.on_cache(
+                    "cache_evict", self.now, self.track,
+                    args={"tokens": entry.n_tokens},
+                )
+
+    # ------------------------------------------------------------------
+    @property
+    def n_entries(self) -> int:
+        return len(self._entries)
+
+    def stats(self) -> PrefixCacheStats:
+        """Snapshot the counters as an immutable stats row."""
+        n_hot = sum(
+            1 for e in self._entries.values() if e.tier == "hot"
+        )
+        return PrefixCacheStats(
+            n_lookups=self.n_lookups,
+            n_hits=self.n_hits,
+            n_misses=self.n_misses,
+            hit_tokens=self.hit_tokens,
+            offered_prefix_tokens=self.offered_prefix_tokens,
+            n_demotions=self.n_demotions,
+            n_evictions=self.n_evictions,
+            bytes_hot=self.bytes_hot,
+            bytes_cold=self.bytes_cold,
+            n_entries_hot=n_hot,
+            n_entries_cold=len(self._entries) - n_hot,
+            cold_delay_s=self.cold_delay_s,
+        )
 
 
 class TestConfig:
@@ -173,15 +345,12 @@ class TestCounterInvariants:
             assert cache.hit_tokens <= cache.offered_prefix_tokens
             assert cache.bytes_hot <= cache.hot_capacity_bytes + 1e-9
             assert cache.bytes_cold <= cache.cold_capacity_bytes + 1e-9
-            # Gauges always reconcile against the entry table.
+            # Gauges always reconcile against the two tiers.
             stats = cache.stats()
-            hot = sum(
-                cache._tier_bytes(e)
-                for e in cache._entries.values() if e.tier == "hot"
-            )
+            hot = sum(cache._raw_bytes(n) for n in cache._hot.values())
             cold = sum(
-                cache._tier_bytes(e)
-                for e in cache._entries.values() if e.tier == "cold"
+                cache._raw_bytes(n) / cache.cold_ratio
+                for n in cache._cold.values()
             )
             assert stats.bytes_hot == pytest.approx(hot)
             assert stats.bytes_cold == pytest.approx(cold)
@@ -199,6 +368,46 @@ class TestCounterInvariants:
         stats = PrefixCacheStats()
         assert stats.token_hit_rate == 0.0
         assert stats.request_hit_rate == 0.0
+
+
+class TestMatchesTickScanReference:
+    """The LRU-ordered tiers replay the tick-scan cache exactly: the same
+    ``(hit, delay_s)`` per lookup, the same float gauges and counters,
+    and the same ``cache_*`` telemetry, demotions and evictions
+    included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        blocks=st.sampled_from((1, 2, 5, 8, 16)),
+        hot_frac=st.sampled_from((0.0, 0.3, 1.0)),
+        cold_ratio=st.sampled_from((1.0, 1.7, 2.5, 3.0)),
+        cold_s=st.sampled_from((0.0, 0.01)),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 9),
+                      st.integers(0, 6 * BLOCK + 3)),
+            max_size=80,
+        ),
+    )
+    def test_same_returns_stats_and_events(
+        self, blocks, hot_frac, cold_ratio, cold_s, ops
+    ):
+        caches = []
+        for cls in (PrefixCache, _ReferenceCache):
+            cache = cls(SPEC, blocks * BPB, hot_frac=hot_frac,
+                        cold_ratio=cold_ratio, cold_hit_s_per_token=cold_s)
+            cache.telemetry = TraceRecorder()
+            caches.append(cache)
+        new, ref = caches
+        for t, (is_lookup, key, tokens) in enumerate(ops):
+            for cache in caches:
+                cache.now = float(t)
+            if is_lookup:
+                assert new.lookup(key, tokens) == ref.lookup(key, tokens)
+            else:
+                new.store(key, tokens)
+                ref.store(key, tokens)
+            assert new.stats() == ref.stats()
+        assert new.telemetry.events == ref.telemetry.events
 
 
 class TestMerge:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchedulingError
+from repro.errors import CapacityError, ConfigError, SchedulingError
 from repro.serving.kvcache import KVCacheSpec, PagedKVCache
 from repro.serving.scheduler import (
     POLICIES,
@@ -175,9 +175,10 @@ class TestPolicies:
 
         a = Request(0, 16, 4, arrival_s=2.0)
         b = Request(1, 16, 4, arrival_s=1.0)
-        assert get_policy("fcfs").order_waiting([a, b]) == [b, a]
+        fcfs = get_policy("fcfs")
+        assert sorted([a, b], key=fcfs.waiting_key) == [b, a]
         # Newest first for preemption.
-        assert get_policy("fcfs").order_victims([a, b])[0] is a
+        assert sorted([a, b], key=fcfs.victim_key)[0] is a
 
     def test_priority_orders_then_fcfs(self):
         from repro.serving.scheduler import get_policy
@@ -185,21 +186,19 @@ class TestPolicies:
         low = Request(0, 16, 4, arrival_s=0.0, priority=0)
         high_late = Request(1, 16, 4, arrival_s=1.0, priority=5)
         high_early = Request(2, 16, 4, arrival_s=0.5, priority=5)
-        order = get_policy("priority").order_waiting(
-            [low, high_late, high_early]
-        )
+        policy = get_policy("priority")
+        order = sorted([low, high_late, high_early], key=policy.waiting_key)
         assert [r.request_id for r in order] == [2, 1, 0]
-        assert get_policy("priority").order_victims(
-            [low, high_late]
-        )[0] is low
+        assert sorted([low, high_late], key=policy.victim_key)[0] is low
 
     def test_sjf_orders_by_remaining_work(self):
         from repro.serving.scheduler import get_policy
 
         big = Request(0, 512, 512, arrival_s=0.0)
         small = Request(1, 16, 8, arrival_s=5.0)
-        assert get_policy("sjf").order_waiting([big, small])[0] is small
-        assert get_policy("sjf").order_victims([big, small])[0] is big
+        sjf = get_policy("sjf")
+        assert sorted([big, small], key=sjf.waiting_key)[0] is small
+        assert sorted([big, small], key=sjf.victim_key)[0] is big
 
     def test_aging_matches_priority_at_rate_zero(self):
         from repro.serving.scheduler import AgingPriorityPolicy, get_policy
@@ -208,9 +207,10 @@ class TestPolicies:
         high_new = Request(1, 16, 4, arrival_s=50.0, priority=1)
         frozen = AgingPriorityPolicy(aging_rate=0.0)
         plain = get_policy("priority")
+        pair = [low_old, high_new]
         assert (
-            [r.request_id for r in frozen.order_waiting([low_old, high_new])]
-            == [r.request_id for r in plain.order_waiting([low_old, high_new])]
+            [r.request_id for r in sorted(pair, key=frozen.waiting_key)]
+            == [r.request_id for r in sorted(pair, key=plain.waiting_key)]
             == [1, 0]
         )
 
@@ -222,12 +222,14 @@ class TestPolicies:
         chat_new = Request(1, 16, 4, arrival_s=10.0, priority=1)
         # 10 s of waiting at 0.2/s buys 2 effective classes — the batch
         # request now outranks the fresh chat request by one.
-        assert policy.order_waiting([chat_new, batch_old])[0] is batch_old
+        pair = [chat_new, batch_old]
+        assert sorted(pair, key=policy.waiting_key)[0] is batch_old
         # ...and is correspondingly harder to evict.
-        assert policy.order_victims([chat_new, batch_old])[0] is chat_new
+        assert sorted(pair, key=policy.victim_key)[0] is chat_new
         # A chat request arriving before the crossover still wins.
         chat_early = Request(2, 16, 4, arrival_s=4.0, priority=1)
-        assert policy.order_waiting([chat_early, batch_old])[0] is chat_early
+        early = [chat_early, batch_old]
+        assert sorted(early, key=policy.waiting_key)[0] is chat_early
 
     def test_aging_rate_validation(self):
         from repro.errors import SchedulingError
@@ -244,6 +246,68 @@ class TestPolicies:
         sched.submit(Request(1, 16, 4, priority=9))
         admitted = sched.admit()
         assert [r.request_id for r in admitted] == [1]
+
+
+class TestLimitsValidation:
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["max_num_seqs", "max_batched_tokens"])
+    def test_below_one_rejected(self, name, value):
+        # Unchecked, either limit below 1 serves into a CapacityError
+        # that blames the requests for never fitting.
+        with pytest.raises(
+            ConfigError, match=f"^{name} must be >= 1, got {value}$"
+        ):
+            SchedulerLimits(**{name: value})
+
+
+class TestKeySortedQueue:
+    """The waiting queue is insorted by ``waiting_key`` and never
+    re-sorted: every caller reads the policy's head as ``waiting[0]``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(POLICIES)), st.data())
+    def test_queue_stays_key_sorted(self, policy, data):
+        limits = SchedulerLimits(
+            max_num_seqs=data.draw(st.integers(1, 4)),
+            max_batched_tokens=data.draw(st.integers(1, 64)),
+        )
+        sched = ContinuousBatchScheduler(
+            make_kv(n_blocks=data.draw(st.integers(2, 12))), limits, policy
+        )
+        key = sched.policy.waiting_key
+        ops = data.draw(st.lists(
+            st.sampled_from(("submit", "admit", "preempt", "release",
+                             "step")),
+            max_size=40,
+        ))
+        for i, op in enumerate(ops):
+            if op == "submit":
+                sched.submit(Request(
+                    i, data.draw(st.integers(1, 64)),
+                    data.draw(st.integers(1, 20)),
+                    arrival_s=data.draw(st.sampled_from((0.0, 0.5, 1.0))),
+                    priority=data.draw(st.integers(0, 2)),
+                ))
+            elif op == "admit":
+                ranked = sorted(sched.waiting, key=key)
+                admitted = sched.admit(
+                    enforce_token_budget=data.draw(st.booleans()),
+                    max_requests=data.draw(st.sampled_from((1, None))),
+                )
+                # Key-minimal first, then the next: a prefix of the rank.
+                assert admitted == ranked[:len(admitted)]
+            elif op in ("preempt", "release") and sched.running:
+                getattr(sched, op)(data.draw(st.sampled_from(sched.running)))
+            elif op == "step" and sched.running:
+                plan = sched.plan_step()
+                try:
+                    victims = sched.ensure_decode_capacity(plan.decode)
+                except CapacityError:
+                    pass  # the last running request cannot grow
+                else:
+                    plan.drop(victims)
+                    sched.apply_step(plan, clock=float(i))
+            assert sched.waiting == sorted(sched.waiting, key=key)
 
 
 class TestChunkedPlanning:

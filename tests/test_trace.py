@@ -1,5 +1,7 @@
 """Tests for the workload trace generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,25 @@ from repro.serving.trace import (
     DEFAULT_OUTPUTS,
     DEFAULT_PROMPTS,
     LengthDistribution,
+    TenantSpec,
     closed_loop_trace,
+    multi_tenant_trace,
     poisson_trace,
+    session_trace,
     total_tokens,
 )
+
+#: Every float argument of the generators, as (argument, call with it).
+_FLOAT_ARGS = [
+    ("rate_rps", lambda v: poisson_trace(5, v)),
+    ("start_at", lambda v: poisson_trace(5, 1.0, start_at=v)),
+    ("rate_rps", lambda v: TenantSpec(rate_rps=v, n_requests=5)),
+    ("start_at", lambda v: multi_tenant_trace(start_at=v)),
+    ("session_rate_rps", lambda v: session_trace(3, v)),
+    ("mean_turns", lambda v: session_trace(3, 1.0, mean_turns=v)),
+    ("think_time_s", lambda v: session_trace(3, 1.0, think_time_s=v)),
+    ("start_at", lambda v: session_trace(3, 1.0, start_at=v)),
+]
 
 
 class TestLengthDistribution:
@@ -76,6 +93,23 @@ class TestPoissonTrace:
             poisson_trace(0, 1.0)
         with pytest.raises(ConfigError):
             poisson_trace(5, 0.0)
+
+
+class TestNonFiniteInputs:
+    # Unchecked, a NaN rate makes every arrival NaN and an infinite one
+    # makes every arrival 0.0.
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize(
+        "name, call", _FLOAT_ARGS,
+        ids=[f"{i}-{name}" for i, (name, _) in enumerate(_FLOAT_ARGS)],
+    )
+    def test_rejected_naming_the_argument(self, name, call, value):
+        with pytest.raises(
+            ConfigError, match=f"^{name} must be finite, got {value}$"
+        ):
+            call(value)
 
 
 class TestClosedLoop:
