@@ -327,7 +327,7 @@ class PrefillPoolStage(Stage):
         if rec is not None:
             rec.transition(req, start, "prefill")
             rec.span(start, duration, "prefill", f"{self.name}/r{idx}",
-                     args={"tokens": req.prompt_len})
+                     ("tokens", req.prompt_len))
         heapq.heappush(self._inflight, (done, req.request_id, req))
         self.decode_pool.commit_blocks(req)
         heapq.heappush(self._free, (done, idx))
@@ -429,8 +429,7 @@ class _PrefillReplica(EngineReplica):
     def _step_span(self, plan, step_s: float) -> None:
         self._rec.span(
             self.clock, step_s, "prefill", self.name,
-            args={"tokens": plan.n_prefill_tokens,
-                  "seqs": plan.n_prefill_seqs},
+            ("tokens", plan.n_prefill_tokens, "seqs", plan.n_prefill_seqs),
         )
 
 

@@ -86,12 +86,19 @@ class LatencySummary:
 
 @dataclass(frozen=True)
 class SLOTarget:
-    """Per-request service-level objective (chat-interactive defaults)."""
+    """Per-request service-level objective (chat-interactive defaults).
+
+    ``inf`` leaves a term unbounded.  NaN is rejected: it would fail
+    every comparison and report zero attainment instead of an error.
+    """
 
     ttft_s: float = 1.0
     tpot_s: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("ttft_s", "tpot_s"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"SLOTarget.{name} must not be NaN")
         if self.ttft_s <= 0 or self.tpot_s <= 0:
             raise ConfigError("SLO targets must be positive")
 

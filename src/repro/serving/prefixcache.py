@@ -311,7 +311,7 @@ class PrefixCache:
         if self.telemetry is not None:
             self.telemetry.on_cache(
                 "cache_hit", self.now, self.track,
-                args={"tokens": hit, "tier": tier, "delay_s": delay_s},
+                ("tokens", hit, "tier", tier, "delay_s", delay_s),
             )
         return hit, delay_s
 
@@ -351,14 +351,14 @@ class PrefixCache:
             self.n_demotions += 1
             if tel is not None:
                 tel.on_cache("cache_demote", self.now, self.track,
-                             args={"tokens": n_tokens})
+                             ("tokens", n_tokens))
         while self.bytes_cold > self.cold_capacity_bytes and cold:
             _, n_tokens = cold.popitem(last=False)
             self.bytes_cold -= self._raw_bytes(n_tokens) / self.cold_ratio
             self.n_evictions += 1
             if tel is not None:
                 tel.on_cache("cache_evict", self.now, self.track,
-                             args={"tokens": n_tokens})
+                             ("tokens", n_tokens))
 
     # ------------------------------------------------------------------
     @property

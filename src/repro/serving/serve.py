@@ -330,8 +330,15 @@ class ServingConfig:
                 f"prefill_mode must be one of {PREFILL_MODES},"
                 f" got {self.prefill_mode!r}"
             )
-        if self.cost_bucket < 0:
-            raise ConfigError("cost_bucket must be >= 0")
+        if (
+            not isinstance(self.cost_bucket, int)
+            or isinstance(self.cost_bucket, bool)
+            or self.cost_bucket < 0
+        ):
+            raise ConfigError(
+                "cost_bucket must be an int >= 0, got"
+                f" {self.cost_bucket!r}"
+            )
         if self.mode not in SERVING_MODES:
             raise ConfigError(
                 f"mode must be one of {SERVING_MODES}, got {self.mode!r}"
@@ -608,24 +615,21 @@ class EngineReplica:
         """End an iteration :func:`run_decode_window` ran, at ``clock``.
 
         Replicates the stepwise float accumulation into ``busy_s`` and
-        ``n_steps`` segment by segment, reconstructs a window's
-        ``decode`` spans after the fact (a one-step iteration emitted
+        ``n_steps`` segment by segment, records a window's ``decode``
+        spans as one row of its segments (a one-step iteration emitted
         its ``step`` span before its commit), moves the clock and takes
         the iteration's one engine sample.
         """
-        rec = self._rec
-        t = self.clock
         for step_s, k in segments:
-            dt = step_s * k
-            self.busy_s += dt
+            self.busy_s += step_s * k
             self.n_steps += k
-            if rec is not None and not one_step:
-                rec.span(t, dt, "decode", self.name,
-                         args={"steps": k, "batch": batch})
-                t += dt
-        self.clock = clock
+        rec = self._rec
         if rec is not None:
+            if not one_step:
+                rec.span(self.clock, 0.0, "decode", self.name,
+                         ("batch", batch), tuple(segments))
             rec.sample_engine(self.name, clock, self.scheduler)
+        self.clock = clock
 
     def _replay_head(self) -> bool:
         """Run the next iteration's head inline, at ``self.clock``.
@@ -672,8 +676,8 @@ class EngineReplica:
     def _step_span(self, plan, step_s: float) -> None:
         self._rec.span(
             self.clock, step_s, "step", self.name,
-            args={"decode": len(plan.decode),
-                  "prefill_tokens": plan.n_prefill_tokens},
+            ("decode", len(plan.decode),
+             "prefill_tokens", plan.n_prefill_tokens),
         )
 
     def _charge_cache_delay(self) -> None:
@@ -778,7 +782,7 @@ class ColocatedStage(EngineReplica, Stage):
             step_s = self.costs.prefill_step(len(admitted), prompt).total_s
             if rec is not None:
                 rec.span(self.clock, step_s, "prefill", self.name,
-                         args={"batch": len(admitted), "tokens": prompt})
+                         ("batch", len(admitted), "tokens", prompt))
             self.clock += step_s
             self.busy_s += step_s
             for req in admitted:
@@ -805,7 +809,7 @@ class ColocatedStage(EngineReplica, Stage):
         step_s = self.costs.decode_step(batch, max(mean_ctx, 1)).total_s
         if rec is not None:
             rec.span(self.clock, step_s, "decode", self.name,
-                     args={"batch": batch})
+                     ("batch", batch))
         self.clock += step_s
         self.busy_s += step_s
         self.n_steps += 1

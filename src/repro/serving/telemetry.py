@@ -8,13 +8,13 @@ trades cache capacity for **decompress** time, backpressure converts
 preemption storms into **queue** time — all per-request, per-phase
 quantities, invisible in aggregates.
 
-Three coupled facilities, all carried by one :class:`TraceRecorder`:
+Three coupled views, all carried by one :class:`TraceRecorder`:
 
-* **structured events** — stages emit lightweight :class:`TraceEvent`
-  records (arrival, admit, prefill chunk/span, decode segment, preempt,
-  transfer enqueue/wire/deliver, backpressure stall begin/end,
-  prefix-cache hit/demote/evict, route, reject, scale, finish).  The
-  recorder exports them as Chrome-trace-format JSON
+* **structured events** — :class:`TraceEvent` records (arrival, admit,
+  prefill chunk/span, decode segment, preempt, transfer
+  enqueue/wire/deliver, backpressure stall begin/end, prefix-cache
+  hit/demote/evict, route, reject, scale, finish).  The recorder
+  exports them as Chrome-trace-format JSON
   (:meth:`TraceRecorder.chrome_trace`): one track per pool / link
   channel / replica, ``X`` duration spans for serial stage work,
   ``B``/``E`` pairs for backpressure stalls, ``s``/``f`` flow arrows
@@ -27,14 +27,26 @@ Three coupled facilities, all carried by one :class:`TraceRecorder`:
 * **latency attribution** — a per-request phase interval state machine.
   Every request is in exactly one phase at a time (:data:`PHASES`);
   stages call :meth:`TraceRecorder.transition` at phase boundaries and
-  the recorder charges the elapsed interval to the phase being left.
-  Because the intervals telescope over ``[arrival_s, finish_s]`` with a
-  monotone boundary sequence, the per-phase seconds of a finished
-  request **sum to its end-to-end latency by construction** (float
-  addition error only — the conservation property
+  the interval since the last boundary is charged to the phase being
+  left.  Because the intervals telescope over ``[arrival_s, finish_s]``
+  with a monotone boundary sequence, the per-phase seconds of a
+  finished request **sum to its end-to-end latency by construction**
+  (float addition error only — the conservation property
   ``tests/test_telemetry.py`` pins across every topology).  Decompress
   time is re-assigned out of the admitting prefill interval zero-sum,
   so conservation survives it.
+
+**Recorded as rows, derived on read.**  A write — a recorder method,
+or a :class:`MetricsRegistry` ``count`` / ``gauge`` / ``observe`` —
+appends one tuple of plain values (its operation, the time, the track,
+the request id, the few numbers it needs and an event's args as a flat
+``key, value, ...`` tail whose keys are constants of the call site) and
+builds nothing else; engine samples go to per-track columns, and a
+fast-forward window is one row of ``(step_s, k)`` segments.  Each view
+— events, attributions with counters and histograms, gauges — is folded
+from the rows on its own first read, replaying the float operations the
+eager bookkeeping ran in the same order, so the views are bit-identical
+to it; ``len(recorder.events)`` counts rows and builds no event.
 
 **Off by default, zero-cost when off.**  Nothing here runs unless a
 :class:`TelemetryConfig` is supplied (``ServingConfig(telemetry=...)``)
@@ -44,14 +56,17 @@ and only *reads* simulation state — the clock arithmetic of an
 instrumented run is bit-identical with telemetry on or off, and with it
 off the only cost is the ``None`` checks (the ``events_per_s`` gate in
 ``tools/bench_regression.py`` holds; the telemetry-on overhead on a
-20k-request trace is gated there too).
+20k-request trace, its first read included, is gated there too).
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import truediv
 
 from ..errors import ConfigError
 
@@ -101,9 +116,19 @@ class TelemetryConfig:
     equivalent to not configuring telemetry at all — no recorder is
     built, every instrumentation site short-circuits on its ``None``
     check — and, set explicitly, wins over an ambient :func:`recording`.
+    ``enabled`` must be a ``bool``: a string such as ``"false"`` (read
+    from a config file) is a :class:`~repro.errors.ConfigError`, not a
+    truthy "on".
     """
 
     enabled: bool = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.enabled, bool):
+            raise ConfigError(
+                "TelemetryConfig.enabled must be a bool, got"
+                f" {self.enabled!r}"
+            )
 
     def build(self) -> "TraceRecorder | None":
         """A fresh recorder for one run (``None`` when disabled)."""
@@ -175,6 +200,20 @@ class RequestAttribution:
         }
 
 
+def _pairs(row: tuple, i: int) -> dict | None:
+    """The ``key, value, ...`` tail of a row from ``row[i]`` on, as an
+    event's args dict (``None`` when the row has no tail)."""
+    n = len(row) - i
+    # Literal dicts for the common shapes: several times faster than zip.
+    if n == 4:
+        return {row[i]: row[i + 1], row[i + 2]: row[i + 3]}
+    if n == 2:
+        return {row[i]: row[i + 1]}
+    if n == 0:
+        return None
+    return dict(zip(row[i::2], row[i + 1::2]))
+
+
 class MetricsRegistry:
     """Sim-time counters, gauge timelines and histograms.
 
@@ -182,31 +221,28 @@ class MetricsRegistry:
     (KV occupancy, batch size, queue depths); each sample appends a
     ``(t_s, value)`` point, so a gauge is a full timeline, not a last
     value.  Counters are monotone accumulators; histograms collect raw
-    observations for offline summarising.
+    observations for offline summarising.  Writes are rows of the
+    owning recorder's log; the three dicts are folded from it on read.
     """
 
-    def __init__(self) -> None:
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, list[tuple[float, float]]] = {}
-        self.histograms: dict[str, list[float]] = {}
+    def __init__(self, log: "_Log | None" = None) -> None:
+        self._log = _Log() if log is None else log
 
     def count(self, name: str, delta: float = 1.0) -> None:
         """Bump a counter."""
-        self.counters[name] = self.counters.get(name, 0.0) + delta
+        self._log.rows.append(("count", name, delta))
 
     def gauge(self, name: str, t_s: float, value: float) -> None:
         """Append one timeline sample to a gauge."""
-        series = self.gauges.get(name)
-        if series is None:
-            series = self.gauges[name] = []
-        series.append((t_s, value))
+        self._log.rows.append(("gauge", t_s, name, value))
 
     def observe(self, name: str, value: float) -> None:
         """Record one histogram observation."""
-        series = self.histograms.get(name)
-        if series is None:
-            series = self.histograms[name] = []
-        series.append(value)
+        self._log.rows.append(("observe", name, value))
+
+    counters = property(lambda self: self._log.view("tally").counters)
+    gauges = property(lambda self: self._log.view("gauges"))
+    histograms = property(lambda self: self._log.view("tally").histograms)
 
     def timelines(self) -> dict:
         """JSON-able export of everything recorded."""
@@ -223,30 +259,307 @@ class MetricsRegistry:
         }
 
 
+# The folds below read the log in emission order and run, per row, the
+# bookkeeping the write that appended it once ran eagerly: the same
+# float operations in the same order, so every view is bit-identical to
+# eager recording and each counter and gauge sits at its first use.
+
+#: Row operations that emit no event.
+_SILENT = frozenset(("transition", "count", "gauge", "observe", "samples"))
+
+
+class _Tally:
+    """Attribution, counters and histograms: the small views.
+
+    Also keeps each ``finish`` row's time as clamped by its request's
+    last phase boundary, which the event fold reads.
+    """
+
+    def __init__(self, log: list[tuple]):
+        self.counters: dict[str, float] = {}
+        self.histograms: dict[str, list[float]] = {}
+        self.attributions: dict[int, RequestAttribution] = {}
+        self.finish_times: list[float] = []
+        #: request_id -> [phase start, phase, charges, arrival_s] while live.
+        self._live: dict[int, list] = {}
+        count, move = self._count, self._transition
+        for row in log:
+            op = row[0]
+            if op == "event" or op == "window" or op == "samples":
+                continue
+            if op == "transition":
+                _, t, rid, phase = row
+                move(rid, t, phase)
+            elif op == "admit":
+                _, t, _, rid, phase, _, decompress_s = row
+                if move(rid, t, phase) and decompress_s > 0.0:
+                    # A cold-tier hit's delay, re-assigned zero-sum out
+                    # of the prefill interval it inflates.
+                    charges = self._live[rid][2]
+                    charges["decompress"] = (
+                        charges.get("decompress", 0.0) + decompress_s
+                    )
+                    charges[phase] = charges.get(phase, 0.0) - decompress_s
+                count("requests/admitted")
+            elif op == "prefill_chunk":
+                if row[5]:
+                    move(row[3], row[1], "decode")
+            elif op == "arrival":
+                _, t, _, rid = row
+                self._live[rid] = [t, "queue", {}, t]
+                count("requests/offered")
+            elif op == "finish":
+                _, t, _, rid, arrival_s = row
+                t = self._close(rid, t)
+                self.finish_times.append(t)
+                count("requests/finished")
+                self._observe("request/e2e_s", t - arrival_s)
+            elif op == "transfer_enqueue":
+                move(row[3], row[1], "transfer_wait")
+            elif op == "wire":
+                _, ready, start, done, nbytes, _, _, rid = row
+                move(rid, start, "wire")
+                move(rid, done, "queue")
+                count("transfer/bytes", nbytes)
+                self._observe("transfer/wire_s", done - start)
+                self._observe("transfer/queue_s", start - ready)
+            elif op == "cache":
+                count(f"cache/{row[2].removeprefix('cache_')}s")
+            elif op == "count":
+                count(row[1], row[2])
+            elif op == "observe":
+                self._observe(row[1], row[2])
+            elif op == "preempt":
+                move(row[3], row[1], "queue")
+                count("requests/preempted")
+            elif op == "reject":
+                self._live.pop(row[3], None)
+                count("requests/rejected")
+            elif op == "stall_begin":
+                count("backpressure/stalls")
+            elif op == "scale":
+                count(f"autoscaler/{row[1].action}")
+
+    def _count(self, name: str, delta: float = 1.0) -> None:
+        self.counters[name] = self.counters.get(name, 0.0) + delta
+
+    def _observe(self, name: str, value: float) -> None:
+        self.histograms.setdefault(name, []).append(value)
+
+    def _transition(self, rid: int, t: float, phase: str) -> bool:
+        """Charge the current phase up to ``t``, then enter ``phase``.
+
+        The boundary sequence is clamped monotone per request, so the
+        charged intervals telescope exactly over the request's life —
+        the conservation property rests on this method alone.  Returns
+        whether ``rid`` is live (registered, not yet finished/rejected).
+        """
+        live = self._live.get(rid)
+        if live is None:
+            return False
+        since, cur, charges, _ = live
+        if t < since:
+            t = since
+        elif t > since:
+            charges[cur] = charges.get(cur, 0.0) + (t - since)
+        live[0], live[1] = t, phase
+        return True
+
+    def _close(self, rid: int, t: float) -> float:
+        """Freeze a finishing request's attribution; returns its finish
+        time clamped to its last boundary (``t`` if it is not live)."""
+        live = self._live.pop(rid, None)
+        if live is None:
+            return t
+        since, phase, charges, arrival = live
+        if t < since:
+            t = since
+        elif t > since:
+            charges[phase] = charges.get(phase, 0.0) + (t - since)
+        self.attributions[rid] = RequestAttribution(
+            rid, arrival, t, *(charges.get(name, 0.0) for name in PHASES)
+        )
+        return t
+
+
+def _fold_events(log: list[tuple], finish_times: list[float]) -> list:
+    """Every event the log's rows emitted, in emission order."""
+    events: list[TraceEvent] = []
+    append, finish_times = events.append, iter(finish_times)
+    for row in log:
+        op = row[0]
+        if op == "event":
+            append(TraceEvent(*row[1:6], _pairs(row, 6)))
+        elif op == "window":
+            # One span per (step_s, k) segment, back to back.
+            _, t, kind, track, segments = row[:5]
+            args = _pairs(row, 5) or {}
+            for step_s, k in segments:
+                dt = step_s * k
+                append(TraceEvent(
+                    t, kind, track, None, dt, {"steps": k, **args}
+                ))
+                t += dt
+        elif op in _SILENT:
+            continue
+        elif op == "admit":
+            _, t, track, rid, _, hit_tokens, _ = row
+            append(TraceEvent(
+                t, "admit", track, rid, 0.0,
+                {"hit_tokens": hit_tokens} if hit_tokens else None,
+            ))
+        elif op == "prefill_chunk":
+            _, t, track, rid, chunk, _ = row
+            append(TraceEvent(t, op, track, rid, 0.0, {"tokens": chunk}))
+        elif op == "finish":
+            append(TraceEvent(next(finish_times), op, row[2], row[3]))
+        elif op == "transfer_enqueue":
+            _, t, track, rid, target = row
+            append(TraceEvent(t, op, track, rid, 0.0, {"target": target}))
+        elif op == "wire":
+            _, _, start, done, nbytes, track, channel, rid = row
+            append(TraceEvent(
+                start, op, f"{track}/ch{channel}", rid, done - start,
+                {"bytes": nbytes},
+            ))
+        elif op == "cache":
+            _, t, kind, track = row[:4]
+            append(TraceEvent(t, kind, track, None, 0.0, _pairs(row, 4)))
+        elif op == "scale":
+            event = row[1]
+            append(TraceEvent(event.t_s, op, "autoscaler", None, 0.0, {
+                "action": event.action,
+                "replica": event.replica,
+                "reason": event.reason,
+            }))
+        elif op == "stall_begin":
+            append(TraceEvent(row[1], op, row[2]))
+        else:  # "arrival", "preempt", "reject": (op, t, track, rid)
+            append(TraceEvent(row[1], op, row[2], row[3]))
+    return events
+
+
+def _fold_gauges(log: list[tuple], samples: dict[str, list]) -> dict:
+    """Every gauge timeline, each at its first use."""
+    gauges: dict[str, list[tuple[float, float]]] = {}
+    for row in log:
+        op = row[0]
+        if op == "gauge":
+            _, t, name, value = row
+            gauges.setdefault(name, []).append((t, value))
+        elif op == "samples":
+            # An engine's first sample: its three gauges start here,
+            # filled at once from its columns.
+            track = row[1]
+            cols = samples[track]
+            t = cols[0::5]
+            kv_frac, batch, waiting = (
+                gauges.setdefault(f"{track}/{name}", [])
+                for name in ("kv_frac", "batch", "waiting")
+            )
+            kv_frac += zip(t, map(
+                truediv, cols[1::5], map(max, cols[2::5], repeat(1))
+            ))
+            batch += zip(t, map(float, cols[3::5]))
+            waiting += zip(t, map(float, cols[4::5]))
+    return gauges
+
+
+class _Log:
+    """A recorder's rows and engine sample columns, and the views folded
+    from them: each on its own first read, again once more rows arrived.
+
+    The recorder, its registry and its event sequence share it; it
+    points back at none of them, so they form no reference cycle.
+    """
+
+    def __init__(self) -> None:
+        #: Append-only rows, one per write, in emission order.
+        self.rows: list[tuple] = []
+        #: track -> its engine samples, five flat columns interleaved:
+        #: time, used blocks, total blocks, running, waiting.
+        self.samples: dict[str, list] = {}
+        self._views: dict[str, object] = {}
+        self._folded_at = (0, 0)
+
+    def view(self, name: str):
+        """The ``tally``, ``events``, ``n_events`` or ``gauges`` view."""
+        rows, samples = self.rows, self.samples
+        size = (len(rows), sum(map(len, samples.values())))
+        if size != self._folded_at:
+            self._views.clear()
+            self._folded_at = size
+        view = self._views.get(name)
+        if view is None:
+            if name == "tally":
+                view = _Tally(rows)
+            elif name == "events":
+                view = _fold_events(rows, self.view("tally").finish_times)
+            elif name == "n_events":
+                view = sum(
+                    len(row[4]) if row[0] == "window" else 1
+                    for row in rows if row[0] not in _SILENT
+                )
+            else:
+                view = _fold_gauges(rows, samples)
+            self._views[name] = view
+        return view
+
+
+class _Events(Sequence):
+    """A recorder's events: counted from its log, built on first access.
+
+    ``len()`` never builds them, so a caller that only counts events
+    keeps no :class:`TraceEvent` next to the log.
+    """
+
+    def __init__(self, log: _Log):
+        self._log = log
+
+    def __len__(self) -> int:
+        return self._log.view("n_events")
+
+    def __getitem__(self, index):
+        return self._log.view("events")[index]
+
+    def __iter__(self):
+        return iter(self._log.view("events"))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(self._log.view("events"))
+
+
 class TraceRecorder:
     """The per-run telemetry sink every instrumented stage writes into.
 
     One recorder is built per ``serve()`` call (shared by every stage
     of the run's topology — all three disagg stages, every fleet
-    replica) and surfaced on ``ContinuousResult.telemetry``.  All
-    methods are cheap appends/dict updates; **callers** hold the
-    ``recorder is None`` guard, so the off path never enters here.
+    replica) and surfaced on ``ContinuousResult.telemetry``.  Every
+    write method appends plain values — one row to the log, or one
+    engine sample to its track's columns — and builds nothing else;
+    ``events``, ``attributions`` and the ``metrics`` dicts are folded
+    from the log on first read (see the module docstring).
+    **Callers** hold the ``recorder is None`` guard, so the off path
+    never enters here.
     """
 
     def __init__(self, config: TelemetryConfig | None = None):
         self.config = config or TelemetryConfig()
-        self.events: list[TraceEvent] = []
-        self.metrics = MetricsRegistry()
-        #: request_id → finished attribution rows.
-        self.attributions: dict[int, RequestAttribution] = {}
-        # Attribution state machine: per live request, the time the
-        # current phase started, which phase, and the charges so far.
-        self._since: dict[int, float] = {}
-        self._phase: dict[int, str] = {}
-        self._charges: dict[int, dict[str, float]] = {}
-        self._arrival: dict[int, float] = {}
-        #: track -> its (kv_frac, batch, waiting) gauge series.
-        self._engine_series: dict[str, tuple[list, list, list]] = {}
+        log = self._log = _Log()
+        self._rows, self._samples = log.rows, log.samples
+        self.metrics = MetricsRegistry(log)
+        #: Every event, in emission order.
+        self.events = _Events(log)
+
+    @property
+    def attributions(self) -> dict[int, RequestAttribution]:
+        """request_id → finished attribution rows."""
+        return self._log.view("tally").attributions
 
     # ------------------------------------------------------------------
     # Raw emission
@@ -258,12 +571,28 @@ class TraceRecorder:
         track: str,
         request_id: int | None = None,
         dur_s: float = 0.0,
-        args: dict | None = None,
+        args: tuple | None = None,
     ) -> None:
-        """Append one event."""
-        self.events.append(
-            TraceEvent(t_s, kind, track, request_id, dur_s, args)
+        """Append one event; ``args`` is a flat ``(key, value, ...)``
+        tuple, read back as the event's ``args`` dict."""
+        self._rows.append(
+            ("event", t_s, kind, track, request_id, dur_s) + (args or ())
         )
+
+    def span(self, t: float, dur_s: float, kind: str, track: str,
+             args: tuple | None = None, segments: tuple | None = None) -> None:
+        """A duration span on one track (prefill pass, decode segment).
+
+        With ``segments`` the row is a fast-forward window: its
+        ``(step_s, k)`` pairs read back as one span per segment, back to
+        back from ``t``, each ``step_s * k`` long with ``steps=k`` ahead
+        of ``args`` (``dur_s`` is unused).
+        """
+        if segments is None:
+            row = ("event", t, kind, track, None, dur_s)
+        else:
+            row = ("window", t, kind, track, segments)
+        self._rows.append(row + args if args else row)
 
     # ------------------------------------------------------------------
     # The attribution state machine
@@ -271,41 +600,19 @@ class TraceRecorder:
     def transition(self, req, t: float, phase: str) -> None:
         """Charge the current phase up to ``t``, then enter ``phase``.
 
-        The boundary sequence is clamped monotone per request, so the
-        charged intervals telescope exactly over the request's life —
-        the conservation property rests on this method alone.
+        Boundaries are clamped monotone per request, so a stale ``t``
+        can shift charge between phases but never break the sum; a
+        request that is not live (never arrived, or already finished or
+        rejected) is ignored.
         """
-        rid = req.request_id
-        since = self._since.get(rid)
-        if since is None:
-            return
-        if t < since:
-            t = since
-        elif t > since:
-            charges = self._charges[rid]
-            cur = self._phase[rid]
-            charges[cur] = charges.get(cur, 0.0) + (t - since)
-        self._since[rid] = t
-        self._phase[rid] = phase
-
-    def _reassign(self, rid: int, src: str, dst: str, seconds: float) -> None:
-        """Move ``seconds`` of charge from one phase to another (zero-sum)."""
-        charges = self._charges[rid]
-        charges[dst] = charges.get(dst, 0.0) + seconds
-        charges[src] = charges.get(src, 0.0) - seconds
+        self._rows.append(("transition", t, req.request_id, phase))
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (called by the instrumented stages)
     # ------------------------------------------------------------------
     def on_arrival(self, req, track: str = "router") -> None:
         """Register a request: attribution starts in ``queue``."""
-        rid = req.request_id
-        self._since[rid] = req.arrival_s
-        self._phase[rid] = "queue"
-        self._charges[rid] = {}
-        self._arrival[rid] = req.arrival_s
-        self.metrics.count("requests/offered")
-        self.emit(req.arrival_s, "arrival", track, rid)
+        self._rows.append(("arrival", req.arrival_s, track, req.request_id))
 
     def on_admit(
         self,
@@ -322,36 +629,30 @@ class TraceRecorder:
         the delay to its clock *before* the admitting step, so the
         prefill interval always covers it and both phases stay >= 0.
         """
-        rid = req.request_id
         phase = "preempt_recompute" if req.n_preemptions else "prefill"
-        if rid in self._since:
-            self.transition(req, t, phase)
-            if decompress_s > 0.0:
-                self._reassign(rid, phase, "decompress", decompress_s)
-        self.metrics.count("requests/admitted")
-        args = {"hit_tokens": hit_tokens} if hit_tokens else None
-        self.emit(t, "admit", track, rid, args=args)
+        self._rows.append((
+            "admit", t, track, req.request_id, phase, hit_tokens,
+            decompress_s,
+        ))
 
     def on_prefill_chunk(self, req, t: float, track: str, chunk: int) -> None:
         """One prompt chunk committed; completion enters ``decode``."""
-        if req.prefill_remaining == 0:
-            self.transition(req, t, "decode")
-        self.emit(t, "prefill_chunk", track, req.request_id,
-                  args={"tokens": chunk})
+        self._rows.append((
+            "prefill_chunk", t, track, req.request_id, chunk,
+            req.prefill_remaining == 0,
+        ))
 
     def on_preempt(self, req, t: float, track: str) -> None:
         """A running request was evicted (recompute preemption)."""
-        self.transition(req, t, "queue")
-        self.metrics.count("requests/preempted")
-        self.emit(t, "preempt", track, req.request_id)
+        self._rows.append(("preempt", t, track, req.request_id))
 
     def on_transfer_enqueue(
         self, req, t: float, track: str, target: int
     ) -> None:
         """Prefilled KV handed to the link: ``transfer_wait`` begins."""
-        self.transition(req, t, "transfer_wait")
-        self.emit(t, "transfer_enqueue", track, req.request_id,
-                  args={"target": target})
+        self._rows.append(
+            ("transfer_enqueue", t, track, req.request_id, target)
+        )
 
     def on_transfer(
         self,
@@ -364,107 +665,61 @@ class TraceRecorder:
         channel: int,
     ) -> None:
         """One wire transfer served: ``wire`` from start to done."""
-        self.transition(req, start, "wire")
-        self.transition(req, done, "queue")
-        self.metrics.count("transfer/bytes", nbytes)
-        self.metrics.observe("transfer/wire_s", done - start)
-        self.metrics.observe("transfer/queue_s", start - ready)
-        self.emit(start, "wire", f"{track}/ch{channel}", req.request_id,
-                  dur_s=done - start, args={"bytes": nbytes})
+        self._rows.append((
+            "wire", ready, start, done, nbytes, track, channel,
+            req.request_id,
+        ))
 
     def on_deliver(self, req, t: float, track: str) -> None:
         """A transfer landed on its decode replica (flow arrow target)."""
-        self.emit(t, "transfer_deliver", track, req.request_id)
+        self._rows.append(
+            ("event", t, "transfer_deliver", track, req.request_id, 0.0)
+        )
 
     def on_finish(self, req, t: float, track: str) -> None:
         """A request finished: close and freeze its attribution."""
-        rid = req.request_id
-        since = self._since.pop(rid, None)
-        if since is not None:
-            phase = self._phase.pop(rid)
-            charges = self._charges.pop(rid)
-            if t < since:
-                t = since
-            elif t > since:
-                charges[phase] = charges.get(phase, 0.0) + (t - since)
-            arrival = self._arrival.pop(rid, req.arrival_s)
-            self.attributions[rid] = RequestAttribution(
-                request_id=rid,
-                arrival_s=arrival,
-                finish_s=t,
-                queue_s=charges.get("queue", 0.0),
-                prefill_s=charges.get("prefill", 0.0),
-                transfer_wait_s=charges.get("transfer_wait", 0.0),
-                wire_s=charges.get("wire", 0.0),
-                decode_s=charges.get("decode", 0.0),
-                preempt_recompute_s=charges.get("preempt_recompute", 0.0),
-                decompress_s=charges.get("decompress", 0.0),
-            )
-        self.metrics.count("requests/finished")
-        self.metrics.observe("request/e2e_s", t - req.arrival_s)
-        self.emit(t, "finish", track, rid)
+        self._rows.append(("finish", t, track, req.request_id, req.arrival_s))
 
     def on_reject(self, req, t: float, track: str = "router") -> None:
         """Admission control refused a request at the front door."""
-        rid = req.request_id
-        self._since.pop(rid, None)
-        self._phase.pop(rid, None)
-        self._charges.pop(rid, None)
-        self._arrival.pop(rid, None)
-        self.metrics.count("requests/rejected")
-        self.emit(t, "reject", track, rid)
+        self._rows.append(("reject", t, track, req.request_id))
 
     def on_route(self, req, t: float, replica: int) -> None:
         """The router handed a request to a replica (stays ``queue``)."""
-        self.emit(t, "route", "router", req.request_id,
-                  args={"replica": replica})
+        self._rows.append((
+            "event", t, "route", "router", req.request_id, 0.0,
+            "replica", replica,
+        ))
 
     def on_stall(self, t: float, track: str) -> None:
         """Backpressure began stalling a prefill pool's admission."""
-        self.metrics.count("backpressure/stalls")
-        self.emit(t, "stall_begin", track)
+        self._rows.append(("stall_begin", t, track))
 
     def on_stall_clear(self, t: float, track: str) -> None:
         """The stall cleared; admission resumed."""
-        self.emit(t, "stall_end", track)
+        self._rows.append(("event", t, "stall_end", track, None, 0.0))
 
     def on_cache(self, kind: str, t: float, track: str,
-                 args: dict | None = None) -> None:
+                 args: tuple | None = None) -> None:
         """A prefix-cache event (``cache_hit``/``cache_demote``/
         ``cache_evict``), emitted by :class:`PrefixCache` itself."""
-        self.metrics.count(f"cache/{kind.removeprefix('cache_')}s")
-        self.emit(t, kind, track, args=args)
+        self._rows.append(("cache", t, kind, track) + (args or ()))
 
     def on_scale(self, event) -> None:
         """An autoscaler action (:class:`~repro.serving.fleet.ScaleEvent`)."""
-        self.metrics.count(f"autoscaler/{event.action}")
-        self.emit(event.t_s, "scale", "autoscaler", args={
-            "action": event.action,
-            "replica": event.replica,
-            "reason": event.reason,
-        })
-
-    def span(self, t: float, dur_s: float, kind: str, track: str,
-             args: dict | None = None) -> None:
-        """A duration span on one track (prefill pass, decode segment)."""
-        self.emit(t, kind, track, dur_s=dur_s, args=args)
+        self._rows.append(("scale", event))
 
     def sample_engine(self, track: str, t: float, scheduler) -> None:
         """Gauge one engine's KV occupancy, batch size and queue depth."""
-        series = self._engine_series.get(track)
-        if series is None:
-            # Created (or found) once per track; every later sample is
-            # three appends.
-            gauges = self.metrics.gauges
-            series = self._engine_series[track] = tuple(
-                gauges.setdefault(f"{track}/{name}", [])
-                for name in ("kv_frac", "batch", "waiting")
-            )
+        cols = self._samples.get(track)
+        if cols is None:
+            cols = self._samples[track] = []
+            self._rows.append(("samples", track))
         kv = scheduler.kv
-        kv_frac, batch, waiting = series
-        kv_frac.append((t, kv.used_blocks / max(kv.n_blocks, 1)))
-        batch.append((t, float(len(scheduler.running))))
-        waiting.append((t, float(len(scheduler.waiting))))
+        cols += (
+            t, kv.used_blocks, kv.n_blocks,
+            len(scheduler.running), len(scheduler.waiting),
+        )
 
     # ------------------------------------------------------------------
     # Reporting

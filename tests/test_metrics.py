@@ -90,6 +90,18 @@ class TestRequestTiming:
         with pytest.raises(ConfigError):
             SLOTarget(ttft_s=0.0)
 
+    @pytest.mark.parametrize("field", ["ttft_s", "tpot_s"])
+    def test_slo_rejects_nan_but_allows_inf(self, field):
+        # NaN fails every comparison: the run would report zero
+        # attainment and goodput instead of an error.
+        with pytest.raises(ConfigError, match=field):
+            SLOTarget(**{field: math.nan})
+        unbounded = SLOTarget(**{field: math.inf})
+        assert timing(ttft=50.0, tpot=5.0).meets(
+            SLOTarget(ttft_s=math.inf, tpot_s=math.inf)
+        )
+        assert getattr(unbounded, field) == math.inf
+
 
 class TestCollectTimings:
     def test_skips_unfinished(self):

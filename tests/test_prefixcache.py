@@ -108,7 +108,7 @@ class _ReferenceCache(PrefixCache):
         if self.telemetry is not None:
             self.telemetry.on_cache(
                 "cache_hit", self.now, self.track,
-                args={"tokens": hit, "tier": tier, "delay_s": delay_s},
+                ("tokens", hit, "tier", tier, "delay_s", delay_s),
             )
         return hit, delay_s
 
@@ -165,7 +165,7 @@ class _ReferenceCache(PrefixCache):
             if self.telemetry is not None:
                 self.telemetry.on_cache(
                     "cache_demote", self.now, self.track,
-                    args={"tokens": entry.n_tokens},
+                    ("tokens", entry.n_tokens),
                 )
         while self.bytes_cold > self.cold_capacity_bytes:
             key = self._lru("cold")
@@ -177,7 +177,7 @@ class _ReferenceCache(PrefixCache):
             if self.telemetry is not None:
                 self.telemetry.on_cache(
                     "cache_evict", self.now, self.track,
-                    args={"tokens": entry.n_tokens},
+                    ("tokens", entry.n_tokens),
                 )
 
     # ------------------------------------------------------------------

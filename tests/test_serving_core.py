@@ -152,6 +152,14 @@ class TestChunkedPrefill:
         with pytest.raises(ConfigError):
             core(4).serve([])
 
+    @pytest.mark.parametrize("bucket", [64.0, True, "64", -1])
+    def test_cost_bucket_must_be_a_non_negative_int(self, bucket):
+        # A float read from a JSON/YAML config used to pass validation
+        # and die mid-serve in the decode window's range().
+        with pytest.raises(ConfigError, match=repr(bucket)):
+            ServingConfig(cost_bucket=bucket)
+        assert ServingConfig(cost_bucket=64).cost_bucket == 64
+
 
 class TestFastForward:
     def test_bucketed_run_matches_stepwise_tokens(self):

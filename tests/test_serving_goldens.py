@@ -10,7 +10,10 @@ stream, the gauge timelines and the attributions — as one sha256 per
 config in ``tests/data/serving_goldens.json``.  Beside them,
 ``tests/data/cost_cache_goldens.json`` pins the cost layer's work on
 every bucketed case: the ``cache_info()`` (hits, misses and live entries
-per step kind) of each memoized cost model the run priced through.
+per step kind) of each memoized cost model the run priced through, and
+``tests/data/telemetry_goldens.json`` pins the recorder's other views on
+every telemetry-on case: its counters, histograms, phase shares and
+Chrome-trace export.
 
 Every config runs on llama3.1-8b / rtx4090 / zipserv with
 ``SchedulerLimits(16, 2048)``, once with exact costs (``cost_bucket=0``,
@@ -19,9 +22,9 @@ phases fast-forward through multi-segment windows).  The matrix spans
 colocated group and chunked prefill under two policies, KV-starved
 preemption storms, a prefix cache on a session trace, a deadline cut,
 disaggregated pools on a starved compressed link with and without
-backpressure, and three fleets.
+backpressure, and four fleets (one autoscaled behind an admission cap).
 
-Regenerate both files (only for an intentional behaviour change) with::
+Regenerate all three files (only for an intentional behaviour change) with::
 
     PYTHONPATH=src python tests/test_serving_goldens.py --write
 """
@@ -40,11 +43,12 @@ from repro.gpu.specs import get_gpu
 from repro.serving.backends import get_backend
 from repro.serving.disagg import DisaggregatedCore
 from repro.serving.engine import InferenceEngine
-from repro.serving.fleet import FleetConfig, FleetCore
+from repro.serving.fleet import AutoscalerConfig, FleetConfig, FleetCore
 from repro.serving.models import get_model
 from repro.serving.openloop import open_loop_arrivals
 from repro.serving.prefixcache import PrefixCacheConfig
 from repro.serving.profiles import get_profile
+from repro.serving.router import RouterConfig
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.serve import (
     BackpressureConfig,
@@ -56,6 +60,7 @@ from repro.serving.telemetry import TelemetryConfig
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "serving_goldens.json"
 COST_CACHE_PATH = Path(__file__).parent / "data" / "cost_cache_goldens.json"
+TELEMETRY_PATH = Path(__file__).parent / "data" / "telemetry_goldens.json"
 
 LIMITS = SchedulerLimits(max_num_seqs=16, max_batched_tokens=2048)
 BUCKETS = (0, 64)
@@ -108,18 +113,27 @@ def _disagg(bucket, prefill_mode, backpressure=None, telemetry=None,
     )
 
 
-def _fleet(bucket, n_replicas, routing, instance=None, **kw):
+def _fleet(bucket, n_replicas, routing, instance=None, autoscaler=None,
+           router=None, **kw):
     return ServingConfig(
         mode="fleet", prefill_mode="chunked", limits=LIMITS,
         cost_bucket=bucket,
         fleet=FleetConfig(
             n_replicas=n_replicas, routing=routing, instance=instance,
+            autoscaler=autoscaler, router=router,
         ),
         **kw,
     )
 
 
 _BACKPRESSURE = BackpressureConfig(min_free_kv_frac=0.2, max_link_queue=4)
+#: Scales up twice and down once on the busy trace, at both buckets.
+_AUTOSCALER = AutoscalerConfig(
+    min_replicas=1, interval_s=1.0, warmup_s=0.5, kv_high_frac=0.3,
+    kv_low_frac=0.1,
+)
+#: Rejects a few requests of the busy trace at the front door.
+_ADMISSION_CAP = RouterConfig(max_outstanding_per_replica=8)
 
 #: name -> (config factory over the cost bucket, trace factory,
 #: fraction of the planned KV bytes, deadline).
@@ -137,6 +151,9 @@ CONFIGS = {
         lambda b: _colocated(b, "group"), _busy_chat, 0.06, None),
     "colocated_chunked_kv6": (
         lambda b: _colocated(b, "chunked"), _busy_chat, 0.06, None),
+    "colocated_group_kv6_telemetry": (
+        lambda b: _colocated(b, "group", telemetry=TEL), _busy_chat, 0.06,
+        None),
     "colocated_chunked_cache_telemetry": (
         lambda b: _colocated(
             b, "chunked", telemetry=TEL,
@@ -162,6 +179,12 @@ CONFIGS = {
             decode_replicas=2, link_topology="per_replica",
         ),
         _chat, 0.05, None),
+    "disagg_chunked_backpressure_kv5_deadline": (
+        lambda b: _disagg(
+            b, "chunked", _BACKPRESSURE, TEL,
+            decode_replicas=2, link_topology="per_replica",
+        ),
+        _chat, 0.05, 15.0),
     "disagg_chunked_kv6": (
         lambda b: _disagg(b, "chunked"), _busy_chat, 0.06, None),
     "fleet_colocated_least_kv": (
@@ -177,11 +200,22 @@ CONFIGS = {
     "fleet_disagg_kv_starved": (
         lambda b: _fleet(b, 2, "least_kv_occupancy", _disagg(b, "chunked")),
         _busy_chat, 0.06, None),
+    "fleet_autoscale_admission_cap_telemetry": (
+        lambda b: _fleet(
+            b, 3, "least_outstanding", autoscaler=_AUTOSCALER,
+            router=_ADMISSION_CAP, telemetry=TEL,
+        ),
+        _busy_chat, 0.06, None),
 }
 
 CASES = [f"{name}@{bucket}" for name in CONFIGS for bucket in BUCKETS]
 #: The cases that price through a memoized cost model.
 BUCKETED_CASES = [case for case in CASES if not case.endswith("@0")]
+#: The cases that record telemetry.
+TELEMETRY_CASES = [
+    f"{name}@{bucket}" for name, (config_of, *_) in CONFIGS.items()
+    if config_of(0).telemetry is not None for bucket in BUCKETS
+]
 
 
 def serve_case(case: str):
@@ -239,6 +273,17 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
+def telemetry_digest(recorder) -> str:
+    """sha256 over the recorder views the serving digest leaves out: the
+    counters, the histograms, the phase shares and the Chrome trace."""
+    h = hashlib.sha256()
+    h.update(repr(list(recorder.metrics.counters.items())).encode())
+    h.update(repr(list(recorder.metrics.histograms.items())).encode())
+    h.update(repr(list(recorder.phase_shares().items())).encode())
+    h.update(json.dumps(recorder.chrome_trace(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def compute_goldens() -> dict:
     return {case: digest(run_case(case)) for case in CASES}
 
@@ -250,6 +295,13 @@ def compute_cost_cache_goldens() -> dict:
     }
 
 
+def compute_telemetry_goldens() -> dict:
+    return {
+        case: telemetry_digest(run_case(case).telemetry)
+        for case in TELEMETRY_CASES
+    }
+
+
 @pytest.fixture(scope="module")
 def goldens() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -258,6 +310,11 @@ def goldens() -> dict:
 @pytest.fixture(scope="module")
 def cost_cache_goldens() -> dict:
     return json.loads(COST_CACHE_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def telemetry_goldens() -> dict:
+    return json.loads(TELEMETRY_PATH.read_text())
 
 
 _HINT = (
@@ -290,6 +347,17 @@ def test_cost_cache_goldens_cover_every_bucketed_case(cost_cache_goldens):
     assert sorted(cost_cache_goldens) == sorted(BUCKETED_CASES)
 
 
+@pytest.mark.parametrize("case", TELEMETRY_CASES)
+def test_telemetry_views_match_golden(telemetry_goldens, case):
+    assert telemetry_digest(run_case(case).telemetry) == (
+        telemetry_goldens[case]
+    ), "telemetry views drifted from tests/data/telemetry_goldens.json"
+
+
+def test_telemetry_goldens_cover_every_telemetry_case(telemetry_goldens):
+    assert sorted(telemetry_goldens) == sorted(TELEMETRY_CASES)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(f"usage: {sys.argv[0]} --write")
@@ -299,3 +367,7 @@ if __name__ == "__main__":
         json.dumps(compute_cost_cache_goldens(), indent=1) + "\n"
     )
     print(f"wrote {COST_CACHE_PATH}")
+    TELEMETRY_PATH.write_text(
+        json.dumps(compute_telemetry_goldens(), indent=1) + "\n"
+    )
+    print(f"wrote {TELEMETRY_PATH}")

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.serving import telemetry
 from repro.serving.costs import StepBreakdown
 from repro.serving.disagg import DisaggregatedCore
@@ -472,6 +473,12 @@ class TestAmbientRecording:
         assert TelemetryConfig(enabled=False).build() is None
         assert telemetry.build_recorder(None) is None
 
+    @pytest.mark.parametrize("enabled", ["false", 0, 1, None])
+    def test_enabled_must_be_a_bool(self, enabled):
+        # "false" from a config file is truthy: it used to record.
+        with pytest.raises(ConfigError, match=repr(enabled)):
+            TelemetryConfig(enabled=enabled)
+
 
 class TestRecorderPrimitives:
     def test_transition_clamps_backward_time(self):
@@ -515,6 +522,33 @@ class TestRecorderPrimitives:
         assert shares["queue"] == 0.25
         assert shares["prefill"] == 0.25
         assert shares["decode"] == 0.5
+
+    def test_views_fold_again_after_new_writes(self):
+        # The views are folded from the log on read; a write after a
+        # read must show up in the next read of every view.
+        rec = TraceRecorder(TelemetryConfig())
+        for i in range(2):
+            req = Request(i, prompt_len=8, max_new_tokens=1, arrival_s=0.0)
+            rec.on_arrival(req, track="engine")
+            rec.metrics.gauge("queue", float(i), float(i))
+            req.finish_s = 1.0
+            rec.on_finish(req, 1.0, "engine")
+            assert sorted(rec.attributions) == list(range(i + 1))
+            assert len(rec.events) == len(list(rec.events)) == 2 * (i + 1)
+            assert rec.metrics.counters["requests/finished"] == i + 1
+            assert rec.metrics.gauges["queue"][-1] == (float(i), float(i))
+
+    def test_event_count_matches_the_built_events(self):
+        # len() counts rows (a window row stands for one span per
+        # segment) without building the events.
+        result = colocated_core(
+            n_blocks=64, prefill_mode="chunked", cost_bucket=4,
+        ).serve(reqs([(24, 40, 0.0), (40, 30, 0.0), (16, 50, 0.01)]))
+        events = result.telemetry.events
+        assert len(events) == len(list(events)) > 0
+        assert any(
+            e.kind == "decode" and e.args["steps"] > 1 for e in events
+        )
 
     def test_slowest_orders_by_latency(self):
         rec = TraceRecorder(TelemetryConfig())
