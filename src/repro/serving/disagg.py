@@ -93,7 +93,12 @@ from .metrics import (
 )
 from .prefixcache import PrefixCacheStats
 from .scheduler import Request, get_policy
-from .serve import EngineReplica, ServingConfig, _raise_stranded
+from .serve import (
+    EngineReplica,
+    ServingConfig,
+    _raise_stranded,
+    next_event_among,
+)
 from .telemetry import build_recorder
 
 __all__ = [
@@ -700,6 +705,11 @@ class _DecodeReplica(EngineReplica):
         self.n_unreleased = 0
         self._quiescent = False
 
+    @property
+    def _kernel(self):
+        """The pool's kernel: its deadline bounds this replica's windows."""
+        return self.pool._kernel
+
     def next_event_time(self) -> float | None:
         if self._quiescent:
             return None
@@ -860,11 +870,7 @@ class DecodePoolStage(Stage):
             self._gated.wake()
 
     def _upstream_horizon(self) -> float | None:
-        times = [
-            t for s in self._upstream
-            if (t := s.next_event_time()) is not None
-        ]
-        return min(times) if times else None
+        return next_event_among(self._upstream)
 
     def finish(self) -> None:
         for replica in self.replicas:
@@ -948,8 +954,11 @@ class DisaggCell:
         """Re-poll the entry stage (after a delivery into it)."""
         self.prefill.notify()
 
-    def attach_router(self, router) -> None:
-        self.decode_pool.set_upstream(self.prefill, self.link, router)
+    def attach_router(self, router, autoscaler=None) -> None:
+        """Add the fleet's stages to the decode pool's window caps: the
+        router may deliver work, the autoscaler reads the cell's state."""
+        fleet = (router,) if autoscaler is None else (router, autoscaler)
+        self.decode_pool.set_upstream(self.prefill, self.link, *fleet)
 
     def is_active(self, now: float) -> bool:
         return self.active_since is not None and self.active_since <= now

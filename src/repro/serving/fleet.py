@@ -36,10 +36,12 @@ and replicas sharing a ``cost_bucket`` share one memoized cost model —
 a 4-replica fleet warms one step-price cache, not four.
 
 Fast-forward correctness: a colocated cell's decode window may not
-overshoot an arrival the router has not delivered yet, so each cell
-caps its window at :meth:`RouterStage.next_arrival_s` (the fleet twin
-of the disagg upstream-horizon cap); disagg cells get the router
-appended to their decode pool's upstream set.  Conservation — every
+run past an arrival the router has not delivered yet, nor past an
+autoscaler tick that reads the cell's occupancy, so each cell caps its
+window at :meth:`RouterStage.next_arrival_s` and the autoscaler's next
+tick (the fleet twin of the disagg upstream-horizon cap); disagg cells
+get both stages appended to their decode pool's upstream set.
+Conservation — every
 offered request is finished, in flight, or still queued somewhere, and
 ``sum(per-replica finished) == fleet finished`` — is tested in
 ``tests/test_fleet.py`` and surfaced per replica on
@@ -51,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigError
+from ..utils import require_finite
 from .costs import StepCostModel, maybe_memoize
 from .disagg import DisaggCell
 from .kernel import EventKernel, Stage
@@ -109,6 +112,9 @@ class AutoscalerConfig:
             and self.max_replicas < self.min_replicas
         ):
             raise ConfigError("max_replicas must be >= min_replicas")
+        # An infinite interval would tick forever at t=inf; an infinite
+        # warm-up would activate a replica never.
+        require_finite(interval_s=self.interval_s, warmup_s=self.warmup_s)
         if not self.interval_s > 0:
             raise ConfigError("interval_s must be positive")
         if self.warmup_s < 0:
@@ -450,16 +456,17 @@ class FleetCore:
             n_active = min(fleet.autoscaler.min_replicas, len(replicas))
         for replica in replicas[:n_active]:
             replica.active_since = 0.0
-        for replica in replicas:
-            replica.attach_router(router)
-        stages: list[Stage] = [router]
-        for replica in replicas:
-            stages.extend(replica.stages)
         autoscaler = None
         if fleet.autoscaler is not None:
             autoscaler = AutoscalerStage(
                 fleet.autoscaler, router, replicas, recorder=rec
             )
+        for replica in replicas:
+            replica.attach_router(router, autoscaler)
+        stages: list[Stage] = [router]
+        for replica in replicas:
+            stages.extend(replica.stages)
+        if autoscaler is not None:
             stages.append(autoscaler)
         EventKernel(stages, recorder=rec).run(until=deadline_s)
         self.last_router = router

@@ -78,11 +78,10 @@ Invariants (tested in ``tests/test_kernel.py``):
   data flow makes commutative).  Under bucketed costs a decode stage's
   fast-forward window is additionally capped at the upstream stages'
   next event (the interleaved kernel cannot see hand-offs that have not
-  been scheduled yet), which may split a window the sequential
-  simulation took whole — token counts are unchanged; step counts and
-  stamps agree to within the one-step boundary shifts float
-  accumulation can introduce (the same approximation contract bucketed
-  costs already had versus stepwise execution).
+  been scheduled yet) and at :attr:`EventKernel.until`; it takes the
+  steps that start before that event, one clock add per step, so
+  without backpressure every output equals the stepwise run's
+  (``tests/test_stepwise_oracle.py``).
 """
 
 from __future__ import annotations
@@ -126,6 +125,9 @@ class Stage:
 
     #: Human-readable stage name (used in error messages and stats).
     name = "stage"
+    #: The :class:`EventKernel` running this stage (``None`` outside
+    #: :meth:`EventKernel.run`).
+    _kernel: "EventKernel | None" = None
 
     def notify(self) -> None:
         """Mark this stage's cached next-event time stale.
@@ -135,9 +137,8 @@ class Stage:
         next event *earlier*.  Outside a running kernel this is a
         no-op, so stages may call it unconditionally.
         """
-        kernel = getattr(self, "_kernel", None)
-        if kernel is not None:
-            kernel.invalidate(self)
+        if self._kernel is not None:
+            self._kernel.invalidate(self)
 
     def wake(self) -> None:
         """Re-poll this stage if its last kernel answer was ``None``.
@@ -146,9 +147,8 @@ class Stage:
         stage reports (a backpressure watermark).  Unlike :meth:`notify`
         it leaves a cached event time alone.  No-op outside a kernel.
         """
-        kernel = getattr(self, "_kernel", None)
-        if kernel is not None:
-            kernel._wake(self)
+        if self._kernel is not None:
+            self._kernel._wake(self)
 
     def next_event_time(self) -> float | None:
         """When this stage can next do work (``None`` = nothing runnable)."""

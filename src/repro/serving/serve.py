@@ -52,9 +52,11 @@ and ``tests/test_disagg.py``):
   jumps to the next arrival; no idle ticking, so makespan is exactly the
   sum of executed step costs plus waiting gaps.
 * **fast-forward exactness** — a fast-forwarded window of ``k`` identical
-  decode steps commits the same token counts, finish stamps and KV growth
-  as ``k`` stepwise iterations would (only legal under bucketed costs,
-  where every step in the window prices identically).
+  decode steps commits the same token counts, stamps, KV growth and
+  clock float sequence as ``k`` stepwise iterations would (only legal
+  under bucketed costs, where every step in the window prices
+  identically), so without backpressure a windowed run equals the same
+  run stepped one step per iteration (``tests/test_stepwise_oracle.py``).
 """
 
 from __future__ import annotations
@@ -490,11 +492,12 @@ class EngineReplica:
     * :meth:`_step_span` — the telemetry span of a single step.
 
     ``horizon`` is an optional callable returning the next event this
-    engine cannot see — the router's next undelivered arrival, or the
-    upstream stages' next events for a decode replica.  A fast-forward
-    window may not overshoot it; it is polled after pricing on every
-    step with bucketed costs (``cost_bucket > 0``), the only steps that
-    can open a window.  ``horizon is None`` promises more: every future
+    engine cannot see — the router's next undelivered arrival or the
+    autoscaler's next tick for a fleet cell, the upstream stages' next
+    events for a decode replica.  A fast-forward window takes no step
+    that starts at or after it; it is polled after pricing on every step
+    with bucketed costs (``cost_bucket > 0``), the only steps that can
+    open a window.  ``horizon is None`` promises more: every future
     arrival already sits in ``pending``.  An engine that is also the
     only stage of its kernel (``ServingCore``'s engine) then owns all
     the state its next iteration reads, so :func:`run_decode_window`
@@ -505,6 +508,10 @@ class EngineReplica:
     #: Whether the engine carves a prefix cache out of its KV budget
     #: (decode replicas receive their KV over the link: nothing to skip).
     carves_prefix_cache = True
+    #: The :class:`~repro.serving.kernel.EventKernel` running this
+    #: engine (its ``until`` bounds every window); a stage's own, a pool
+    #: replica's that of its pool.
+    _kernel = None
 
     def __init__(
         self,
@@ -566,6 +573,7 @@ class EngineReplica:
             scheduler.submit(heappop(pending)[2])
         gated = self._admit(now)
         plan = scheduler.plan_step()
+        victims = None
         if config.preemption and plan.decode:
             victims = scheduler.ensure_decode_capacity(plan.decode)
             if victims:
@@ -586,18 +594,25 @@ class EngineReplica:
             plan.n_prefill_tokens,
         )
         bucket = config.cost_bucket
-        next_event = pending[0][0] if pending else None
-        if bucket > 0 and self.horizon is not None:
-            h = self.horizon()
-            if h is not None and (next_event is None or h < next_event):
-                next_event = h
-        k = decode_window_len(
-            scheduler, plan, next_event, self.clock, step_s, bucket,
-        )
-        if k > 1:
-            # The window closes every iteration it runs, this one too.
-            run_decode_window(self, plan, next_event, step_s, k)
-            return
+        # A preemption freed KV after this iteration's admission attempt:
+        # when the queue head now fits, the next iteration admits it, so
+        # no window may open past this step.
+        if bucket > 0 and not (victims and not scheduler.admission_blocked()):
+            next_event = pending[0][0] if pending else None
+            if self.horizon is not None:
+                h = self.horizon()
+                if h is not None and (next_event is None or h < next_event):
+                    next_event = h
+            kernel = self._kernel
+            k = decode_window_len(
+                scheduler, plan, next_event,
+                None if kernel is None else kernel.until,
+                self.clock, step_s, bucket,
+            )
+            if k > 1:
+                # The window closes every iteration it runs, this one too.
+                run_decode_window(self, plan, next_event, step_s, k)
+                return
         if rec is not None:
             self._step_span(plan, step_s)
         self.clock += step_s
@@ -614,15 +629,19 @@ class EngineReplica:
     ) -> None:
         """End an iteration :func:`run_decode_window` ran, at ``clock``.
 
-        Replicates the stepwise float accumulation into ``busy_s`` and
-        ``n_steps`` segment by segment, records a window's ``decode``
-        spans as one row of its segments (a one-step iteration emitted
-        its ``step`` span before its commit), moves the clock and takes
-        the iteration's one engine sample.
+        Adds every step to ``busy_s`` one ``+= step_s`` at a time, the
+        stepwise loop's float sequence, and counts it in ``n_steps``;
+        records a window's ``decode`` spans as one row of its segments
+        (a one-step iteration emitted its ``step`` span before its
+        commit), moves the clock and takes the iteration's one engine
+        sample.
         """
+        busy_s = self.busy_s
         for step_s, k in segments:
-            self.busy_s += step_s * k
+            for _ in range(k):
+                busy_s += step_s
             self.n_steps += k
+        self.busy_s = busy_s
         rec = self._rec
         if rec is not None:
             if not one_step:
@@ -634,18 +653,17 @@ class EngineReplica:
     def _replay_head(self) -> bool:
         """Run the next iteration's head inline, at ``self.clock``.
 
-        Only within the kernel's deadline: submit the arrivals due now,
-        then report whether admission is a provable no-op — the queue is
-        empty or its head does not fit (the scheduler's
-        ``admission_blocked``, the predicate ``admit`` itself stops at).
-        On success the kernel's clock moves to the iteration's start, as
-        if it had advanced this stage there.  On failure the submitted
-        arrivals simply wait for the next kernel advance, whose head
-        finds nothing left to submit.
+        :func:`run_decode_window` calls this only at or before the
+        kernel's deadline.  Submit the arrivals due now, then report
+        whether admission is a provable no-op — the queue is empty or
+        its head does not fit (the scheduler's ``admission_blocked``,
+        the predicate ``admit`` itself stops at).  On success the
+        kernel's clock moves to the iteration's start, as if it had
+        advanced this stage there.  On failure the submitted arrivals
+        simply wait for the next kernel advance, whose head finds
+        nothing left to submit.
         """
-        kernel, clock = self._kernel, self.clock
-        if kernel.until is not None and clock > kernel.until:
-            return False
+        clock = self.clock
         scheduler, pending = self.scheduler, self.pending
         if self._rec is not None:
             scheduler._now = clock
@@ -653,7 +671,7 @@ class EngineReplica:
             scheduler.submit(heappop(pending)[2])
         if not scheduler.admission_blocked():
             return False
-        kernel.now = clock
+        self._kernel.now = clock
         return True
 
     # -- override points -----------------------------------------------
@@ -825,8 +843,14 @@ class ColocatedStage(EngineReplica, Stage):
             rec.sample_engine(self.name, self.clock, scheduler)
 
     # -- router surface -------------------------------------------------
-    def attach_router(self, router) -> None:
-        self.horizon = router.next_arrival_s
+    def attach_router(self, router, autoscaler=None) -> None:
+        """Cap this cell's windows at the router's next arrival and the
+        autoscaler's next tick: both read the cell's state there."""
+        if autoscaler is None:
+            self.horizon = router.next_arrival_s
+        else:
+            stages = (router, autoscaler)
+            self.horizon = lambda: next_event_among(stages)
 
     def is_active(self, now: float) -> bool:
         return self.active_since is not None and self.active_since <= now
@@ -953,10 +977,17 @@ class ServingCore:
         )
 
 
+def next_event_among(stages) -> float | None:
+    """The earliest next event of ``stages`` (``None``: none has one)."""
+    times = [t for s in stages if (t := s.next_event_time()) is not None]
+    return min(times) if times else None
+
+
 def decode_window_len(
     scheduler: ContinuousBatchScheduler,
     plan,
     next_event_s: float | None,
+    until: float | None,
     clock: float,
     step_s: float,
     bucket: int,
@@ -967,23 +998,27 @@ def decode_window_len(
     of every topology.  Only meaningful with bucketed costs
     (``bucket > 0``): inside a context bucket every decode step of a
     stable batch prices identically, so a loop may advance ``k`` steps
-    in one shot.  The
-    window ends at the first event that would change the plan or its
-    price: a request finishing, the next external event (an arrival, or
-    a KV landing on a decode replica) at ``next_event_s``, the mean
-    context crossing a bucket edge, or KV needing more blocks than are
-    free (conservative — fall back to stepping so preemption logic
-    runs).  Exact costs (``bucket == 0``) always step one at a time,
-    since every step then prices differently.
+    in one shot.  The window ends at the first event that would change
+    the plan or its price: a request finishing, the mean context
+    crossing a bucket edge, KV needing more blocks than are free
+    (conservative — fall back to stepping so preemption logic runs), or
+    the next external event at ``next_event_s`` (an arrival, a KV
+    landing on a decode replica, or the next advance of a stage that
+    could deliver one or reads this engine's state).  It takes every
+    step that *starts* before ``next_event_s`` and no later than the
+    kernel's deadline ``until`` (:func:`_segment_len`): exactly the
+    steps the stepwise loop runs before the kernel processes that
+    event, the one that crosses it included.  Exact costs
+    (``bucket == 0``) always step one at a time, since every step then
+    prices differently.
 
     A non-empty waiting queue does not end the window: admission was
-    just attempted and blocked, and with no arrivals, finishes or
-    frees inside the window the blocker (sequence slots, or free KV
-    which only shrinks while decode grows) persists until the window's
-    last step — exactly when the stepwise loop would next admit.  One
-    exception is kept for bit-compatibility: when the iteration's
-    ``ensure_decode_capacity`` preempted, admission ran before that
-    freed KV, so the window may run past a head that now fits.
+    just attempted and blocked, and with no arrivals, finishes or frees
+    inside the window the blocker (sequence slots, or free KV, which
+    only shrinks while decode grows) persists until the window's last
+    step — exactly when the stepwise loop would next admit.  (The
+    caller opens no window in an iteration whose preemption freed KV
+    the queue head now fits into.)
     """
     if (
         bucket <= 0
@@ -995,14 +1030,12 @@ def decode_window_len(
     k = min(r.max_new_tokens - r.generated for r in plan.decode)
     mean_ctx = max(plan.mean_decode_ctx, 1)
     k = min(k, ceil_div(mean_ctx, bucket) * bucket - mean_ctx + 1)
-    if next_event_s is not None and step_s > 0:
-        gap = next_event_s - clock
-        k = min(k, max(1, int(gap / step_s)))
-    if k > 1 and not scheduler.kv.can_append(
-        [r.request_id for r in plan.decode], k
-    ):
+    if k <= 1:
         return 1
-    return k
+    return _segment_len(
+        scheduler.kv, [r.request_id for r in plan.decode], k,
+        next_event_s, until, clock, step_s,
+    )
 
 
 def run_decode_window(
@@ -1020,13 +1053,13 @@ def run_decode_window(
     (:meth:`EngineReplica._close_iteration`).
     The stepwise simulator pays a full scheduling iteration — arrival
     submit, admission attempt, ``plan_step``, capacity check, step
-    pricing — between every pair of :func:`decode_window_len` windows,
-    even when each of those is provably a no-op.  This helper chains
-    segments inside one stage advance while the no-op proof holds:
+    pricing — for every step, even when each of those is provably a
+    no-op.  This helper chains segments inside one stage advance while
+    the no-op proof holds:
 
-    * **no arrivals/landings** — a segment never crosses
-      ``next_event_s`` (the caller folds its upstream horizon in), so no
-      submits happen and, with no finishes either, admission's blocker
+    * **no arrivals/landings** — every step starts before
+      ``next_event_s`` (the caller folds its horizon in), so no submits
+      happen and, with no finishes either, admission's blocker
       (sequence slots, or free KV, which only shrinks while decode
       grows) persists — the attempt stays a no-op.
     * **no preemptions** — chaining continues only where
@@ -1037,27 +1070,25 @@ def run_decode_window(
 
     **Inline iterations.**  The window's iteration ends where the next
     arrival is due or the next segment would be a single step (it
-    crosses the next arrival, takes a request's last token, crosses a
-    bucket edge, or is all the KV holds).  An engine with no horizon
-    that is its kernel's only stage — the lone colocated engine, whose
-    future arrivals all sit in ``pending`` — then replays the next
-    iteration inline whenever its head is a provable no-op: it starts
-    within the kernel's deadline, the arrivals due at its start are
+    takes a request's last token, crosses a bucket edge, or is all the
+    KV holds).  An engine with no horizon that is its kernel's only
+    stage — the lone colocated engine, whose future arrivals all sit in
+    ``pending`` — then replays the next iteration inline whenever its
+    head is a provable no-op: the arrivals due at its start are
     submitted and nothing is admissible
     (:meth:`EngineReplica._replay_head`), no request finished, and every
     sequence can grow by one token.  That head is checked at every
-    boundary, not only at arrivals: a window may open in the iteration
-    whose preemption freed KV the queue head can use.  The replay takes
-    ``k`` from :func:`decode_window_len`'s formula and keeps the price
-    (past a bucket edge, from this window's bucket-edge table); a
-    one-step iteration is its own ``(step_s, 1)`` segment, committed
-    like ``apply_step`` after its ``step`` span.  Each
-    iteration closes as a kernel-driven one does: ``decode`` spans
-    after a window, then one engine sample before the next head
-    submits.  Any other engine, or a head that is not a no-op, returns
-    to the kernel without committing further work, and the next kernel
-    advance runs the unmodified stepwise body from an identical
-    scheduler state — so stopping early is always bit-safe.
+    boundary, not only at arrivals.  The replay takes ``k`` from
+    :func:`decode_window_len`'s formula and keeps the price (past a
+    bucket edge, from this window's bucket-edge table); a one-step
+    iteration is its own ``(step_s, 1)`` segment, committed like
+    ``apply_step`` after its ``step`` span.  Each iteration closes as a
+    kernel-driven one does: ``decode`` spans after a window, then one
+    engine sample before the next head submits.  Any other engine, or
+    a head that is not a no-op, returns to the kernel without
+    committing further work, and the next kernel advance runs the
+    unmodified stepwise body from an identical scheduler state — so
+    stopping early is always bit-safe.
 
     **Scalar window.**  Every request advances by the same ``k`` per
     segment, so the first finish (``min_rem``) and the mean context
@@ -1065,23 +1096,25 @@ def run_decode_window(
     objects are only touched by the scheduler's per-segment
     :meth:`~repro.serving.scheduler.ContinuousBatchScheduler.commit_decode`.
 
-    **Float discipline**: the clock advances ``step_s * k`` per segment
-    — the same ``(step_s, k)`` sequence, in the same order, as the
-    stepwise loop's per-window adds, replicated into ``busy_s`` and
-    ``n_steps`` when each iteration closes.  The engine prices with the
-    bucketed model (``maybe_memoize`` at ``cost_bucket > 0``), so a
-    segment that stays inside its context bucket keeps its price.  At
-    the window's first bucket-edge crossing, ``engine._price`` fills a
-    table with the decode-only price of every edge the window can
-    still reach — the same query, at the same bucketed context, the
-    stepwise body makes there — and later segments read it.  The
-    engine's post-step hook runs after each segment's commit: its
-    occupancy sampling must see every segment, not just the window
-    end.
+    **Float discipline**: the clock advances one ``+= step_s`` per
+    step, and :meth:`EngineReplica._close_iteration` replays the same
+    adds into ``busy_s`` — the stepwise loop's own float sequence, so
+    every stamp equals the stepwise run's.  No step starts after the
+    kernel's ``until``.  The engine prices with the bucketed model
+    (``maybe_memoize`` at ``cost_bucket > 0``), so a segment that stays
+    inside its context bucket keeps its price.  At the window's first
+    bucket-edge crossing, ``engine._price`` fills a table with the
+    decode-only price of every edge the window can still reach — the
+    same query, at the same bucketed context, the stepwise body makes
+    there — and later segments read it.  The engine's post-step hook
+    samples occupancy after each segment's commit and, in a segment
+    that takes a last token, also before that step frees its KV: the
+    samples the stepwise loop's maximum is taken over.
     """
     scheduler = engine.scheduler
     bucket, preemption = engine.config.cost_bucket, engine.config.preemption
-    kernel = getattr(engine, "_kernel", None)
+    kernel = engine._kernel
+    until = None if kernel is None else kernel.until
     replay = (
         engine.horizon is None
         and kernel is not None
@@ -1100,13 +1133,22 @@ def run_decode_window(
     segments: list[tuple[float, int]] = []
     one_step = False
     while True:
-        clock += step_s * k
-        segments.append((step_s, k))
         min_rem -= k
-        scheduler.commit_decode(decode, ids, k, clock, min_rem <= 0)
+        for _ in range(k - 1):
+            clock += step_s
+        last = k
+        if min_rem <= 0 and k > 1:
+            # The last step frees the finished requests' KV: sample the
+            # occupancy before it, as the stepwise loop does.
+            scheduler.commit_decode(decode, ids, k - 1, clock, False)
+            engine._after_step()
+            last = 1
+        clock += step_s
+        scheduler.commit_decode(decode, ids, last, clock, min_rem <= 0)
+        segments.append((step_s, k))
         plan.decode_ctx_sum += batch * k
         engine._after_step()
-        if min_rem <= 0:
+        if min_rem <= 0 or (until is not None and clock > until):
             break
         if (preemption or replay) and not kv.can_append(ids, 1):
             break
@@ -1129,7 +1171,7 @@ def run_decode_window(
         if not boundary:
             k = _segment_len(
                 kv, ids, min(min_rem, edge - mean_ctx + 1), next_event_s,
-                clock, step_s,
+                until, clock, step_s,
             )
             if k > 1:
                 continue
@@ -1146,7 +1188,7 @@ def run_decode_window(
             next_event_s = pending[0][0] if pending else None
             k = _segment_len(
                 kv, ids, min(min_rem, edge - mean_ctx + 1), next_event_s,
-                clock, step_s,
+                until, clock, step_s,
             )
         one_step = k == 1
         if one_step and engine._rec is not None:
@@ -1154,13 +1196,20 @@ def run_decode_window(
     engine._close_iteration(clock, segments, batch, one_step)
 
 
-def _segment_len(kv, ids, k, next_event_s, clock, step_s) -> int:
-    """Cap a window segment of up to ``k`` steps at the next event and at
-    the KV its sequences can still grow into (the tail of
+def _segment_len(kv, ids, k, next_event_s, until, clock, step_s) -> int:
+    """Cap a window segment of up to ``k`` steps, the first starting at
+    ``clock``: keep the steps that start before ``next_event_s`` and no
+    later than ``until``, each one ``+= step_s`` after the last, then
+    check the KV its sequences can still grow into (the tail of
     :func:`decode_window_len`'s formula)."""
-    if next_event_s is not None and step_s > 0:
-        gap = next_event_s - clock
-        k = min(k, max(1, int(gap / step_s)))
+    if next_event_s is not None or until is not None:
+        stop = math.inf if next_event_s is None else next_event_s
+        last = math.inf if until is None else until
+        n, t = 1, clock + step_s
+        while n < k and t < stop and t <= last:
+            n += 1
+            t += step_s
+        k = n
     if k > 1 and not kv.can_append(ids, k):
         return 1
     return k

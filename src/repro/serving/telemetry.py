@@ -391,15 +391,17 @@ def _fold_events(log: list[tuple], finish_times: list[float]) -> list:
         if op == "event":
             append(TraceEvent(*row[1:6], _pairs(row, 6)))
         elif op == "window":
-            # One span per (step_s, k) segment, back to back.
+            # One span per (step_s, k) segment, back to back, each end
+            # k ``+= step_s`` after its start: the engine clock's adds.
             _, t, kind, track, segments = row[:5]
             args = _pairs(row, 5) or {}
             for step_s, k in segments:
-                dt = step_s * k
+                start = t
+                for _ in range(k):
+                    t += step_s
                 append(TraceEvent(
-                    t, kind, track, None, dt, {"steps": k, **args}
+                    start, kind, track, None, t - start, {"steps": k, **args}
                 ))
-                t += dt
         elif op in _SILENT:
             continue
         elif op == "admit":
@@ -585,7 +587,8 @@ class TraceRecorder:
 
         With ``segments`` the row is a fast-forward window: its
         ``(step_s, k)`` pairs read back as one span per segment, back to
-        back from ``t``, each ``step_s * k`` long with ``steps=k`` ahead
+        back from ``t``, each ending ``k`` adds of ``step_s`` after its
+        start (the engine clock's float sequence) with ``steps=k`` ahead
         of ``args`` (``dur_s`` is unused).
         """
         if segments is None:
@@ -847,17 +850,21 @@ class TraceRecorder:
 # ----------------------------------------------------------------------
 # Ambient enablement (tooling: bench --trace, trace_report.py)
 # ----------------------------------------------------------------------
-#: Process-wide default telemetry config.  ``None`` (the shipped value)
-#: means telemetry is off for every config that does not set its own
-#: ``ServingConfig.telemetry`` — the zero-cost contract.  Set via
-#: :func:`recording`, which lets tooling trace any registered scenario
-#: without touching its config.
-DEFAULT: TelemetryConfig | None = None
+@dataclass
+class RecordingHandle:
+    """Yielded by :func:`recording`: its config, and the recorder of the
+    last config-less run inside the context (``None`` until one runs)."""
 
-#: The recorder most recently built by :func:`build_recorder` — how
-#: :func:`recording` hands the recorder of an ambient-enabled run back
-#: to the caller (mirrors the bench harness's last-core idiom).
-LAST: TraceRecorder | None = None
+    config: TelemetryConfig = field(default_factory=TelemetryConfig)
+    recorder: TraceRecorder | None = None
+
+
+#: The handle of the innermost active :func:`recording` context.  ``None``
+#: (the shipped value) means telemetry is off for every config that does
+#: not set its own ``ServingConfig.telemetry`` — the zero-cost contract.
+#: Only the context holds it, so a run's recorder lives as long as its
+#: result or the caller's handle, never in this module.
+_AMBIENT: RecordingHandle | None = None
 
 
 def build_recorder(
@@ -866,59 +873,49 @@ def build_recorder(
     """Resolve the effective config and build one run's recorder.
 
     Serving cores call this at the top of ``serve()``: an explicit
-    ``ServingConfig.telemetry`` wins; otherwise the ambient
-    :data:`DEFAULT` (installed by :func:`recording`) applies; with
-    neither, telemetry is off and the core's instrumentation guards all
-    short-circuit.
+    ``ServingConfig.telemetry`` wins; otherwise the config of the active
+    :func:`recording` context applies, and its handle receives the
+    recorder; with neither, telemetry is off and the core's
+    instrumentation guards all short-circuit.
     """
-    effective = config if config is not None else DEFAULT
-    if effective is None:
-        return None
-    if not isinstance(effective, TelemetryConfig):
+    handle = None
+    if config is None:
+        handle = _AMBIENT
+        if handle is None:
+            return None
+        config = handle.config
+    if not isinstance(config, TelemetryConfig):
         raise ConfigError(
             "telemetry must be a TelemetryConfig, got"
-            f" {type(effective).__name__}"
+            f" {type(config).__name__}"
         )
-    recorder = effective.build()
-    if recorder is not None:
-        global LAST
-        LAST = recorder
+    recorder = config.build()
+    if handle is not None:
+        handle.recorder = recorder
     return recorder
-
-
-@dataclass
-class RecordingHandle:
-    """Yielded by :func:`recording`; exposes the captured recorder."""
-
-    config: TelemetryConfig = field(default_factory=TelemetryConfig)
-
-    @property
-    def recorder(self) -> TraceRecorder | None:
-        """The last recorder built inside (or after) the context."""
-        return LAST
 
 
 @contextmanager
 def recording(config: TelemetryConfig | None = None):
     """Ambiently enable telemetry for every run inside the context.
 
-    Installs ``config`` (default: record everything) as the process
-    :data:`DEFAULT`, so any ``serve()`` whose config leaves
-    ``telemetry=None`` records — the hook ``bench_serving.py --trace``
-    and ``tools/trace_report.py`` use to trace *registered* scenarios
-    without editing them.  Yields a :class:`RecordingHandle` whose
-    ``recorder`` property returns the run's recorder afterwards.
+    Installs ``config`` (default: record everything) for any ``serve()``
+    whose config leaves ``telemetry=None`` — the hook
+    ``bench_serving.py --trace`` and ``tools/trace_report.py`` use to
+    trace *registered* scenarios without editing them.  Yields a
+    :class:`RecordingHandle` whose ``recorder`` is the last such run's
+    recorder, also after the context exits.
     """
-    global DEFAULT
+    global _AMBIENT
     effective = config or TelemetryConfig()
     if not isinstance(effective, TelemetryConfig):
         raise ConfigError(
             "recording() takes a TelemetryConfig, got"
             f" {type(effective).__name__}"
         )
-    previous = DEFAULT
-    DEFAULT = effective
+    previous = _AMBIENT
+    _AMBIENT = handle = RecordingHandle(effective)
     try:
-        yield RecordingHandle(effective)
+        yield handle
     finally:
-        DEFAULT = previous
+        _AMBIENT = previous

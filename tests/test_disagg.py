@@ -127,13 +127,10 @@ class TestConservation:
     def test_memoized_costs_fast_forward_matches_stepwise(self):
         # A context-insensitive cost model prices identically whether or
         # not contexts are bucketed, so the memoized run's fast-forwarded
-        # decode windows must reproduce the stepwise run's work — same
-        # tokens, approximately the same stamps.  The event kernel caps
-        # a window at the upstream stages' next event (it cannot see
-        # hand-offs that are not scheduled yet), so window boundaries —
-        # and with them the iteration count — may shift by a step where
-        # the old sequential simulation, which knew every landing time
-        # upfront, fast-forwarded straight through.
+        # decode windows must reproduce the stepwise run exactly: a
+        # window adds the clock one step at a time and takes every step
+        # that starts before the next upstream event, so neither the
+        # step count nor any stamp depends on where windows end.
         decode_step_s = 1e-3
 
         class ConstCostModel(FlatCostModel):
@@ -154,16 +151,10 @@ class TestConservation:
             ServingConfig(mode="disaggregated", cost_bucket=64),
         ).serve(reqs(TRACE))
         assert memo.tokens_generated == exact.tokens_generated
-        assert abs(memo.n_steps - exact.n_steps) <= len(TRACE)
-        assert memo.makespan_s == pytest.approx(exact.makespan_s)
-        # Fast-forward multiplies step costs where the stepwise loop sums
-        # them, and a split window can push an admission one boundary
-        # over — stamps agree to within one decode step.
-        for m, e in zip(memo.timings, exact.timings):
-            assert m.request_id == e.request_id
-            assert m.n_tokens == e.n_tokens
-            assert m.first_token_s == pytest.approx(e.first_token_s)
-            assert abs(m.finish_s - e.finish_s) <= 1.5 * decode_step_s
+        assert memo.n_steps == exact.n_steps
+        assert memo.makespan_s == exact.makespan_s
+        assert memo.timings == exact.timings
+        assert memo.pools == exact.pools
 
 
 class TestTransferAccounting:

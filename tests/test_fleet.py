@@ -21,7 +21,9 @@ The invariants that make a fleet simulation trustworthy:
   from its queues at every routing decision.
 """
 
+import math
 from bisect import bisect_right
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,8 @@ class TestRouting:
         ("group", "per_replica", 0),
         ("chunked", "shared", 0),
         ("chunked", "per_replica", 0),
+        ("group", "shared", 64),
+        ("group", "per_replica", 64),
         ("chunked", "shared", 64),
         ("chunked", "per_replica", 64),
     ])
@@ -239,11 +243,13 @@ class TestRouting:
         """A disagg cell behind a 1-replica router is ``DisaggregatedCore``.
 
         Two prefill and two decode replicas on a starved 0.125 GB/s
-        ``kvcomp`` link.  These are the six configs of the
-        {prefill mode} × {link} × {cost bucket} × {backpressure} product
-        where this holds; bucketed group prefill and every backpressure
-        config still differ behind a router (window boundaries and poll
-        order).  ROADMAP.md's plumbing-invariance item owns those ten.
+        ``kvcomp`` link: every config of the {prefill mode} × {link} ×
+        {cost bucket} product without backpressure.  Windows no longer
+        depend on where they end, so the router's arrival instants
+        change nothing.  The eight backpressure configs (the same
+        product with the watermarks on) still differ behind a router:
+        the gate reads decode-pool state that poll order moves.
+        ROADMAP.md's plumbing-invariance item owns them.
         """
         cell = ServingConfig(
             mode="disaggregated", limits=LIMITS, cost_bucket=bucket,
@@ -277,10 +283,9 @@ class TestRouting:
 class _ArrivalReplay(Stage):
     """The router's stand-in in front of one cell on its own kernel.
 
-    It advances at every instant the fleet's router advances (each
-    arrival of the whole trace) but delivers only the requests routed
-    to its cell.  Those instants matter even where nothing is delivered:
-    the router's next arrival caps the cells' decode windows.
+    It advances at the given arrival instants — every arrival of the
+    whole trace, as the fleet's router does, or only its cell's — and
+    delivers only the requests routed to its cell.
     """
 
     name = "router"
@@ -309,10 +314,11 @@ class _ArrivalReplay(Stage):
             self.cell.notify()
 
 
-def _decomposed_run(config, requests, kv_bytes):
+def _decomposed_run(config, requests, kv_bytes, fleet_instants):
     """Route ``requests`` up front with the fleet's policy, then run
-    each cell alone; returns the cells and the ``EventKernel`` runs'
-    combined makespan."""
+    each cell alone, advancing its feeder at every fleet arrival or only
+    at its own; returns the cells and the ``EventKernel`` runs' combined
+    makespan."""
     engine = _engine()
     core = FleetCore(engine.costs, engine.kv_spec, kv_bytes, config)
     cells = [
@@ -326,7 +332,11 @@ def _decomposed_run(config, requests, kv_bytes):
         routed[policy.select(req, cells, req.arrival_s).index].append(req)
     arrivals = [r.arrival_s for r in ordered]
     for cell in cells:
-        feeder = _ArrivalReplay(arrivals, routed[cell.index], cell)
+        mine = routed[cell.index]
+        feeder = _ArrivalReplay(
+            arrivals if fleet_instants else [r.arrival_s for r in mine],
+            mine, cell,
+        )
         cell.attach_router(feeder)
         EventKernel([feeder, *cell.stages]).run()
     return cells, max(cell.clock for cell in cells)
@@ -366,16 +376,35 @@ _DECOMPOSED = {
 }
 
 
+def _mask_pool_peaks(stats):
+    """``ReplicaStats`` without the pool-wide ``peak_kv_frac`` of a
+    multi-replica decode pool."""
+    return tuple(
+        replace(row, pools=tuple(
+            replace(p, peak_kv_frac=None)
+            if p.name.endswith("decode") and p.n_replicas > 1 else p
+            for p in row.pools
+        ))
+        for row in stats
+    )
+
+
 class TestDecomposition:
+    @pytest.mark.parametrize("fleet_instants", (True, False),
+                             ids=("fleet_instants", "own_arrivals"))
     @pytest.mark.parametrize("bucket", (0, 64))
     @pytest.mark.parametrize("routing", ("round_robin", "session_affinity"))
     @pytest.mark.parametrize("setup", sorted(_DECOMPOSED))
     def test_static_fleet_is_independent_cell_runs(
-        self, setup, routing, bucket
+        self, setup, routing, bucket, fleet_instants
     ):
-        """Under static routing the cells couple only through the
-        router's arrival instants, so replaying those instants in front
-        of each cell alone reproduces every fleet output exactly."""
+        """Under static routing each cell run alone reproduces every
+        fleet output exactly, whether its feeder replays every fleet
+        arrival instant or only the cell's own: a decode window ends
+        where it would in a stepwise run, wherever events cut it.  Fed
+        its own arrivals only, a cell's multi-replica decode pool may
+        sample a different pool-wide ``peak_kv_frac`` (a sum over
+        replicas at different clocks; ROADMAP.md item 1)."""
         config_of, trace_of, kv_frac = _DECOMPOSED[setup]
         config = config_of(bucket, routing)
         engine = _engine()
@@ -385,7 +414,9 @@ class TestDecomposition:
             engine.costs, engine.kv_spec, kv_bytes, config
         ).serve(fleet_requests)
         cell_requests = trace_of()
-        cells, makespan = _decomposed_run(config, cell_requests, kv_bytes)
+        cells, makespan = _decomposed_run(
+            config, cell_requests, kv_bytes, fleet_instants
+        )
 
         stamps = lambda reqs: {  # noqa: E731
             r.request_id: (r.arrival_s, r.first_token_s, r.finish_s)
@@ -394,8 +425,12 @@ class TestDecomposition:
         assert stamps(cell_requests) == stamps(fleet_requests)
         assert makespan == result.makespan_s
         assert sum(cell.n_steps for cell in cells) == result.n_steps
-        assert repr(tuple(cell.stats(makespan) for cell in cells)) == \
-            repr(result.replicas)
+        stats = tuple(cell.stats(makespan) for cell in cells)
+        replicas = result.replicas
+        if not fleet_instants:
+            stats = _mask_pool_peaks(stats)
+            replicas = _mask_pool_peaks(replicas)
+        assert repr(stats) == repr(replicas)
 
 
 # ----------------------------------------------------------------------
@@ -683,6 +718,13 @@ class TestConfigValidation:
     def test_autoscaler_watermark_ordering(self):
         with pytest.raises(ConfigError):
             AutoscalerConfig(kv_low_frac=0.9, kv_high_frac=0.8)
+
+    @pytest.mark.parametrize("field", ("interval_s", "warmup_s"))
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_autoscaler_rejects_non_finite_times(self, field, value):
+        # interval_s=inf once passed and hung serve() ticking at t=inf.
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            AutoscalerConfig(**{field: value})
 
     def test_instances_tuple_sets_size(self):
         inner = ServingConfig(prefill_mode="chunked")

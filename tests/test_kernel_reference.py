@@ -53,6 +53,7 @@ class _ReferenceKernel(EventKernel):
 
     def run(self, until=None):
         n = len(self.stages)
+        self.until = until  # read by the engines' fast-forward windows
         cached = [None] * n
         gen = [0] * n
         heap = []

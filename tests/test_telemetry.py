@@ -22,8 +22,10 @@ Four contracts:
   reach into the core object.
 """
 
+import gc
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -458,6 +460,29 @@ class TestAmbientRecording:
             ServingConfig(),
         ).serve(reqs([(24, 4, 0.0)]))
         assert after.telemetry is None
+
+    def test_no_module_global_keeps_a_recorder(self):
+        # An explicit-config run's recorder dies with its result; an
+        # ambient run's lives while the caller keeps its handle.
+        def serve(config):
+            return ServingCore(
+                FlatCostModel(), SPEC, 64 * SPEC.bytes_per_block, config,
+            ).serve(reqs([(24, 4, 0.0), (32, 6, 0.01)]))
+
+        result = serve(ServingConfig(telemetry=TelemetryConfig()))
+        ref = weakref.ref(result.telemetry)
+        del result
+        gc.collect()
+        assert ref() is None
+        with recording() as handle:
+            result = serve(ServingConfig())
+        ref = weakref.ref(result.telemetry)
+        del result
+        gc.collect()
+        assert ref() is handle.recorder is not None
+        del handle
+        gc.collect()
+        assert ref() is None
 
     def test_explicit_config_wins_over_ambient(self):
         # An explicitly disabled config stays off inside recording().
