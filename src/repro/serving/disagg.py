@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
+from functools import partial
 from itertools import chain, takewhile
 
 from ..compression import resolve_spec
@@ -699,7 +700,6 @@ class _DecodeReplica(EngineReplica):
         )
         self.pool = pool
         self.index = index
-        self.horizon = pool._upstream_horizon
         self.outstanding_tokens = 0
         #: Assigned transfers whose landing time is not yet known.
         self.n_unreleased = 0
@@ -782,7 +782,6 @@ class DecodePoolStage(Stage):
     ):
         self.name = name
         self._rec = recorder
-        self._upstream: tuple[Stage, ...] = ()
         self.replicas = [
             _DecodeReplica(self, i, costs, kv_spec, kv_bytes, config,
                            recorder)
@@ -797,8 +796,10 @@ class DecodePoolStage(Stage):
         self.peak_kv_frac = 0.0
 
     def set_upstream(self, *stages: Stage) -> None:
-        """Register the stages whose events cap fast-forward windows."""
-        self._upstream = stages
+        """Cap every replica's fast-forward windows at the next event of
+        ``stages``."""
+        for replica in self.replicas:
+            replica.horizon = partial(next_event_among, stages)
 
     # ------------------------------------------------------------------
     # Backpressure bookkeeping (read by the prefill stage)
@@ -855,11 +856,7 @@ class DecodePoolStage(Stage):
 
     # ------------------------------------------------------------------
     def next_event_time(self) -> float | None:
-        times = [
-            t for r in self.replicas
-            if (t := r.next_event_time()) is not None
-        ]
-        return min(times) if times else None
+        return next_event_among(self.replicas)
 
     def advance(self, now: float) -> None:
         for replica in self.replicas:
@@ -868,9 +865,6 @@ class DecodePoolStage(Stage):
                 replica.step(now)
         if self._gated is not None:
             self._gated.wake()
-
-    def _upstream_horizon(self) -> float | None:
-        return next_event_among(self._upstream)
 
     def finish(self) -> None:
         for replica in self.replicas:
@@ -954,11 +948,10 @@ class DisaggCell:
         """Re-poll the entry stage (after a delivery into it)."""
         self.prefill.notify()
 
-    def attach_router(self, router, autoscaler=None) -> None:
+    def attach_router(self, fleet_stages) -> None:
         """Add the fleet's stages to the decode pool's window caps: the
         router may deliver work, the autoscaler reads the cell's state."""
-        fleet = (router,) if autoscaler is None else (router, autoscaler)
-        self.decode_pool.set_upstream(self.prefill, self.link, *fleet)
+        self.decode_pool.set_upstream(self.prefill, self.link, *fleet_stages)
 
     def is_active(self, now: float) -> bool:
         return self.active_since is not None and self.active_since <= now

@@ -35,12 +35,12 @@ stack (weights/KV/wire, auto slots, calibration) feeds every replica,
 and replicas sharing a ``cost_bucket`` share one memoized cost model —
 a 4-replica fleet warms one step-price cache, not four.
 
-Fast-forward correctness: a colocated cell's decode window may not
-run past an arrival the router has not delivered yet, nor past an
-autoscaler tick that reads the cell's occupancy, so each cell caps its
-window at :meth:`RouterStage.next_arrival_s` and the autoscaler's next
-tick (the fleet twin of the disagg upstream-horizon cap); disagg cells
-get both stages appended to their decode pool's upstream set.
+Fast-forward correctness: a cell's decode window may not run past an
+arrival the router has not delivered yet, nor past an autoscaler tick
+that reads the cell's occupancy, so the fleet hands each cell its
+router and autoscaler stages: a colocated cell caps its window at
+their next event, a disagg cell appends them to its decode pool's
+upstream set.
 Conservation — every
 offered request is finished, in flight, or still queued somewhere, and
 ``sum(per-replica finished) == fleet finished`` — is tested in
@@ -457,12 +457,14 @@ class FleetCore:
         for replica in replicas[:n_active]:
             replica.active_since = 0.0
         autoscaler = None
+        fleet_stages: tuple[Stage, ...] = (router,)
         if fleet.autoscaler is not None:
             autoscaler = AutoscalerStage(
                 fleet.autoscaler, router, replicas, recorder=rec
             )
+            fleet_stages += (autoscaler,)
         for replica in replicas:
-            replica.attach_router(router, autoscaler)
+            replica.attach_router(fleet_stages)
         stages: list[Stage] = [router]
         for replica in replicas:
             stages.extend(replica.stages)

@@ -330,22 +330,17 @@ class RouterStage(Stage):
         """Arrivals not yet handed to a replica."""
         return len(self._pending) - self._cursor
 
-    def next_arrival_s(self) -> float | None:
-        """When the next unrouted request arrives (fast-forward horizon).
+    # ------------------------------------------------------------------
+    def next_event_time(self) -> float | None:
+        """When the next unrouted request arrives.
 
-        Colocated fleet replicas cap their decode fast-forward windows
-        here: a window may not overshoot an arrival the router has not
-        delivered yet (the fleet twin of the disagg upstream-horizon
-        cap).  Side-effect-free, so it doubles as this stage's next
-        event time.
+        Side-effect-free, so fleet cells also cap their decode
+        fast-forward windows here: a window may not overshoot an
+        arrival the router has not delivered yet.
         """
         if self._cursor >= len(self._pending):
             return None
         return self._pending[self._cursor].arrival_s
-
-    # ------------------------------------------------------------------
-    def next_event_time(self) -> float | None:
-        return self.next_arrival_s()
 
     def advance(self, now: float) -> None:
         pending, replicas = self._pending, self.replicas

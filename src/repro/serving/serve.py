@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from heapq import heappop, heappush
 
 from ..compression import (
@@ -843,14 +844,11 @@ class ColocatedStage(EngineReplica, Stage):
             rec.sample_engine(self.name, self.clock, scheduler)
 
     # -- router surface -------------------------------------------------
-    def attach_router(self, router, autoscaler=None) -> None:
-        """Cap this cell's windows at the router's next arrival and the
-        autoscaler's next tick: both read the cell's state there."""
-        if autoscaler is None:
-            self.horizon = router.next_arrival_s
-        else:
-            stages = (router, autoscaler)
-            self.horizon = lambda: next_event_among(stages)
+    def attach_router(self, fleet_stages) -> None:
+        """Cap this cell's windows at the next event of the fleet's
+        stages — the router's next arrival, the autoscaler's next tick:
+        both read the cell's state there."""
+        self.horizon = partial(next_event_among, fleet_stages)
 
     def is_active(self, now: float) -> bool:
         return self.active_since is not None and self.active_since <= now

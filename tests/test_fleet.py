@@ -71,6 +71,7 @@ from test_serving_goldens import (
     _engine,
     _fleet,
     _sessions,
+    mask_pool_peaks,
 )
 
 LIMITS = SchedulerLimits(max_num_seqs=16, max_batched_tokens=8192)
@@ -297,12 +298,10 @@ class _ArrivalReplay(Stage):
         self._cursor = self._delivered = 0
         self.cell = cell
 
-    def next_arrival_s(self) -> float | None:
+    def next_event_time(self) -> float | None:
         if self._cursor == len(self._arrivals):
             return None
         return self._arrivals[self._cursor]
-
-    next_event_time = next_arrival_s
 
     def advance(self, now: float) -> None:
         self._cursor = bisect_right(self._arrivals, now)
@@ -337,7 +336,7 @@ def _decomposed_run(config, requests, kv_bytes, fleet_instants):
             arrivals if fleet_instants else [r.arrival_s for r in mine],
             mine, cell,
         )
-        cell.attach_router(feeder)
+        cell.attach_router((feeder,))
         EventKernel([feeder, *cell.stages]).run()
     return cells, max(cell.clock for cell in cells)
 
@@ -377,15 +376,10 @@ _DECOMPOSED = {
 
 
 def _mask_pool_peaks(stats):
-    """``ReplicaStats`` without the pool-wide ``peak_kv_frac`` of a
-    multi-replica decode pool."""
+    """``ReplicaStats`` rows with their pools masked by
+    :func:`mask_pool_peaks`."""
     return tuple(
-        replace(row, pools=tuple(
-            replace(p, peak_kv_frac=None)
-            if p.name.endswith("decode") and p.n_replicas > 1 else p
-            for p in row.pools
-        ))
-        for row in stats
+        replace(row, pools=mask_pool_peaks(row.pools)) for row in stats
     )
 
 

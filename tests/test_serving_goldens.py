@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -271,6 +272,19 @@ def digest(result) -> str:
         h.update(repr(list(rec.metrics.gauges.items())).encode())
         h.update(repr(sorted(rec.attributions.items())).encode())
     return h.hexdigest()
+
+
+def mask_pool_peaks(pools):
+    """``pools`` with a multi-replica decode pool's ``peak_kv_frac``
+    blanked: a sum over the replicas sampled whenever one of them steps,
+    so it depends on how far each replica's clock has moved, which the
+    windows and the decomposed runs do not hold fixed (ROADMAP.md
+    item 1)."""
+    return tuple(
+        replace(p, peak_kv_frac=None)
+        if p.name.endswith("decode") and p.n_replicas > 1 else p
+        for p in pools
+    )
 
 
 def telemetry_digest(recorder) -> str:

@@ -65,6 +65,7 @@ from test_serving_goldens import (
     TEL,
     _engine,
     _trace,
+    mask_pool_peaks,
     serve_case,
 )
 
@@ -206,15 +207,6 @@ def _serve(case: str):
     return serve_case(case)[1]
 
 
-def _pools(pools):
-    """Pools with a multi-replica decode pool's ``peak_kv_frac`` masked."""
-    return tuple(
-        replace(p, peak_kv_frac=None)
-        if p.name.endswith("decode") and p.n_replicas > 1 else p
-        for p in pools
-    )
-
-
 def outputs(result) -> dict:
     """Every simulated output the stepwise loop must reproduce."""
     out = {
@@ -224,10 +216,11 @@ def outputs(result) -> dict:
             result.peak_running,
         ),
         "timings": sorted(result.timings, key=lambda t: t.request_id),
-        "pools": _pools(result.pools),
+        "pools": mask_pool_peaks(result.pools),
         "transfer": result.transfer,
         "replicas": tuple(
-            replace(r, pools=_pools(r.pools)) for r in result.replicas
+            replace(r, pools=mask_pool_peaks(r.pools))
+            for r in result.replicas
         ),
         "prefix_cache": result.prefix_cache,
         "scale_events": result.scale_events,
