@@ -948,10 +948,12 @@ class DisaggCell:
         """Re-poll the entry stage (after a delivery into it)."""
         self.prefill.notify()
 
-    def attach_router(self, fleet_stages) -> None:
-        """Add the fleet's stages to the decode pool's window caps: the
-        router may deliver work, the autoscaler reads the cell's state."""
-        self.decode_pool.set_upstream(self.prefill, self.link, *fleet_stages)
+    def attach_router(self, upstream) -> None:
+        """Add ``upstream`` to the decode pool's window caps: the
+        fleet's router and autoscaler, or only the cell's own arrival
+        schedule (see :meth:`ColocatedStage.attach_router
+        <repro.serving.serve.ColocatedStage.attach_router>`)."""
+        self.decode_pool.set_upstream(self.prefill, self.link, *upstream)
 
     def is_active(self, now: float) -> bool:
         return self.active_since is not None and self.active_since <= now

@@ -36,11 +36,15 @@ and replicas sharing a ``cost_bucket`` share one memoized cost model —
 a 4-replica fleet warms one step-price cache, not four.
 
 Fast-forward correctness: a cell's decode window may not run past an
-arrival the router has not delivered yet, nor past an autoscaler tick
-that reads the cell's occupancy, so the fleet hands each cell its
-router and autoscaler stages: a colocated cell caps its window at
-their next event, a disagg cell appends them to its decode pool's
-upstream set.
+arrival the router has not delivered to it yet, nor past an instant
+at which the router or the autoscaler reads the cell's state, so the
+fleet hands each cell the events that can reach it: a colocated cell
+caps its window at the next one, a disagg cell adds them to its decode
+pool's upstream set.  Under a static policy with no admission cap and
+no autoscaler the router routes the trace ahead
+(:meth:`~repro.serving.router.RouterStage.route_ahead`), and those
+events are the cell's own arrivals; otherwise they are every arrival
+and every autoscaler tick.
 Conservation — every
 offered request is finished, in flight, or still queued somewhere, and
 ``sum(per-replica finished) == fleet finished`` — is tested in
@@ -53,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigError
-from ..utils import require_finite
+from ..utils import require_finite, require_int
 from .costs import StepCostModel, maybe_memoize
 from .disagg import DisaggCell
 from .kernel import EventKernel, Stage
@@ -105,13 +109,9 @@ class AutoscalerConfig:
     kv_low_frac: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ConfigError("min_replicas must be >= 1")
-        if (
-            self.max_replicas is not None
-            and self.max_replicas < self.min_replicas
-        ):
-            raise ConfigError("max_replicas must be >= min_replicas")
+        require_int(1, min_replicas=self.min_replicas)
+        if self.max_replicas is not None:
+            require_int(self.min_replicas, max_replicas=self.max_replicas)
         # An infinite interval would tick forever at t=inf; an infinite
         # warm-up would activate a replica never.
         require_finite(interval_s=self.interval_s, warmup_s=self.warmup_s)
@@ -152,8 +152,7 @@ class FleetConfig:
     router: RouterConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.n_replicas < 1:
-            raise ConfigError("n_replicas must be >= 1")
+        require_int(1, n_replicas=self.n_replicas)
         if self.router is not None and not isinstance(
             self.router, RouterConfig
         ):
@@ -463,8 +462,14 @@ class FleetCore:
                 fleet.autoscaler, router, replicas, recorder=rec
             )
             fleet_stages += (autoscaler,)
-        for replica in replicas:
-            replica.attach_router(fleet_stages)
+        # Without an autoscaler every replica stays active, so a static
+        # policy's routes follow from the trace alone: the router routes
+        # it now, and each cell's windows stop only at its own arrivals.
+        shares = router.route_ahead() if autoscaler is None else None
+        for i, replica in enumerate(replicas):
+            replica.attach_router(
+                fleet_stages if shares is None else (shares[i],)
+            )
         stages: list[Stage] = [router]
         for replica in replicas:
             stages.extend(replica.stages)

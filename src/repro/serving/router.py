@@ -46,13 +46,29 @@ and replica state — no RNG, and the tenant hash is ``zlib.crc32`` (not
 Python's seeded ``hash``) — so a trace routes identically across
 processes and platforms (tested in ``tests/test_fleet.py``).
 
+**Static policies route ahead.**  ``round_robin`` and
+``session_affinity`` set :attr:`RoutingPolicy.static`: their ``select``
+reads only the request stream and the ``active`` list, never a replica
+signal or ``now``.  Without an admission cap or an autoscaler every
+replica stays active, so such a policy's routes follow from the trace
+alone: :meth:`RouterStage.route_ahead` routes it once before the run
+and keeps each replica's arrival schedule.  A cell's fast-forward
+windows then stop only at its *own* arrivals, not at every arrival of
+the fleet; an arrival routed elsewhere cannot change what the cell
+does.  Every other fleet — a policy that reads replica state, an
+admission cap, an autoscaler — routes at each arrival instant, and
+every cell's windows stop there too, because the router (or the
+autoscaler) reads the cells' state at that instant.
+
 **The perf-critical contract** (the reason this is a kernel stage and
 not a loop): the kernel re-polls only stages that advanced or were
 notified, so the router must :meth:`~repro.serving.kernel.Stage.notify`
 exactly the replicas it delivered into — a missed one strands its
 request, and waking every replica per arrival would put the fleet back
 on the O(stages) re-poll path (the 100k-request fleet trace gate in
-``benchmarks/bench_serving.py`` would catch it).
+``benchmarks/bench_serving.py`` would catch it).  A routed-ahead trace
+is still delivered at each arrival instant, in the same order, with
+the same ``on_route`` telemetry.
 """
 
 from __future__ import annotations
@@ -60,7 +76,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from ..errors import ConfigError, SchedulingError, UnknownSpecError
+from ..errors import SchedulingError, UnknownSpecError
+from ..utils import require_int
 from .kernel import Stage
 from .scheduler import Request
 
@@ -85,10 +102,23 @@ class RoutingPolicy:
     Subclasses implement :meth:`select`; instances may keep state across
     calls (a round-robin cursor, an affinity map) — the router constructs
     one policy instance per run, so state never leaks between serves.
+
+    Set :attr:`static` only when :meth:`select` reads nothing but the
+    request stream and the ``active`` list: no replica signal
+    (``n_outstanding``, ``kv_occupancy()``, ...) and not ``now``.  A
+    static policy's ``select`` may then run up front, once per request
+    in arrival order with every replica active and ``now`` the
+    request's arrival instant (:meth:`RouterStage.route_ahead`), and
+    the fleet caps each cell's windows at its own arrivals only.  A
+    policy marked static that reads replica state would route on state
+    the run has not reached yet.
     """
 
     #: Registry key (``FleetConfig(routing=<name>)``).
     name = "routing"
+    #: Whether :meth:`select` reads only the request stream and the
+    #: active list (see the class docstring).
+    static = False
 
     def select(
         self, req: Request, active: list, now: float
@@ -107,6 +137,7 @@ class RoundRobinPolicy(RoutingPolicy):
     """Cycle over the active replicas in index order."""
 
     name = "round_robin"
+    static = True
 
     def __init__(self) -> None:
         self._cursor = 0
@@ -197,6 +228,7 @@ class SessionAffinityPolicy(RoutingPolicy):
     """
 
     name = "session_affinity"
+    static = True
 
     def __init__(self) -> None:
         self._pins: dict[str, object] = {}
@@ -280,10 +312,27 @@ class RouterConfig:
 
     def __post_init__(self) -> None:
         cap = self.max_outstanding_per_replica
-        if cap is not None and cap < 1:
-            raise ConfigError(
-                f"max_outstanding_per_replica must be >= 1, got {cap}"
-            )
+        if cap is not None:
+            require_int(1, max_outstanding_per_replica=cap)
+
+
+class _RoutedArrivals:
+    """One replica's share of a routed-ahead trace (see
+    :meth:`RouterStage.route_ahead`): its requests' arrival instants in
+    order, and how many of them the router has delivered."""
+
+    __slots__ = ("replica", "arrivals", "n_delivered")
+
+    def __init__(self, replica) -> None:
+        self.replica = replica
+        self.arrivals: list[float] = []
+        self.n_delivered = 0
+
+    def next_event_time(self) -> float | None:
+        """The replica's next undelivered arrival (``None``: none left)."""
+        if self.n_delivered == len(self.arrivals):
+            return None
+        return self.arrivals[self.n_delivered]
 
 
 class RouterStage(Stage):
@@ -292,10 +341,11 @@ class RouterStage(Stage):
     Holds the full trace sorted by arrival and a cursor — no pops, so a
     100k-request trace costs one sort up front and O(1) per arrival.
     Each :meth:`advance` routes every arrival due at ``now`` through the
-    policy (which sees only active replicas), delivers it into the
-    chosen replica's entry queue, and then notifies *exactly the
-    replicas it touched* — the heap-kernel contract that keeps a
-    1000-replica fleet from waking wholesale on every arrival.
+    policy (which sees only active replicas) — or takes its route from
+    :meth:`route_ahead` — delivers it into the chosen replica's entry
+    queue, and then notifies *exactly the replicas it touched* — the
+    heap-kernel contract that keeps a 1000-replica fleet from waking
+    wholesale on every arrival.
 
     ``assignments`` records ``request_id → replica index`` for the
     routing histogram and the determinism tests; requests refused by
@@ -321,6 +371,9 @@ class RouterStage(Stage):
             requests, key=lambda r: (r.arrival_s, r.request_id)
         )
         self._cursor = 0
+        #: Each pending request's replica share once :meth:`route_ahead`
+        #: has routed the trace; ``None`` routes at each arrival.
+        self._routes: list[_RoutedArrivals] | None = None
         self.assignments: dict[int, int] = {}
         self.rejected: list[Request] = []
 
@@ -330,38 +383,66 @@ class RouterStage(Stage):
         """Arrivals not yet handed to a replica."""
         return len(self._pending) - self._cursor
 
+    def route_ahead(self) -> list[_RoutedArrivals] | None:
+        """Route the whole trace now, before the run, where no route can
+        depend on the run.
+
+        That holds for a :attr:`~RoutingPolicy.static` policy without an
+        admission cap, provided every replica stays active for the whole
+        run — the caller's promise (a fleet without an autoscaler).
+        ``select`` then runs once per request, in arrival order, with
+        every replica active and ``now`` the request's arrival instant;
+        :meth:`advance` still delivers, records and notifies at each
+        arrival instant, exactly as without routing ahead.
+
+        Returns one arrival schedule per replica, in replica order: its
+        ``next_event_time()`` is the replica's next undelivered arrival,
+        the only arrival that can change what the replica does.  Returns
+        ``None``, routing nothing, when the policy is not static or a cap
+        is set: those read replica state at each arrival instant.
+        """
+        if (
+            not self.policy.static
+            or self.config.max_outstanding_per_replica is not None
+        ):
+            return None
+        replicas, select = self.replicas, self.policy.select
+        shares = {r: _RoutedArrivals(r) for r in replicas}
+        routes = []
+        for req in self._pending:
+            share = shares[select(req, replicas, req.arrival_s)]
+            share.arrivals.append(req.arrival_s)
+            routes.append(share)
+        self._routes = routes
+        return list(shares.values())
+
     # ------------------------------------------------------------------
     def next_event_time(self) -> float | None:
         """When the next unrouted request arrives.
 
-        Side-effect-free, so fleet cells also cap their decode
-        fast-forward windows here: a window may not overshoot an
-        arrival the router has not delivered yet.
+        Side-effect-free, so fleet cells that route at each arrival also
+        cap their decode fast-forward windows here: a window may not
+        overshoot an arrival at which the router reads the cells.
         """
         if self._cursor >= len(self._pending):
             return None
         return self._pending[self._cursor].arrival_s
 
     def advance(self, now: float) -> None:
-        pending, replicas = self._pending, self.replicas
-        cap = self.config.max_outstanding_per_replica
+        pending, routes = self._pending, self._routes
         touched = set()
         while self._cursor < len(pending):
             req = pending[self._cursor]
             if req.arrival_s > now:
                 break
+            if routes is None:
+                replica = self._route(req, now)
+            else:
+                share = routes[self._cursor]
+                share.n_delivered += 1
+                replica = share.replica
             self._cursor += 1
-            active = [r for r in replicas if r.is_active(now)]
-            if not active:
-                raise SchedulingError(
-                    "no active replica to route request"
-                    f" {req.request_id} at t={now}"
-                )
-            replica = self.policy.select(req, active, now)
-            if cap is not None and replica.n_outstanding >= cap:
-                self.rejected.append(req)
-                if self._rec is not None:
-                    self._rec.on_reject(req, now, self.name)
+            if replica is None:
                 continue
             replica.deliver(req)
             self.assignments[req.request_id] = replica.index
@@ -370,6 +451,24 @@ class RouterStage(Stage):
                 self._rec.on_route(req, now, replica.index)
         for replica in touched:
             replica.notify()
+
+    def _route(self, req: Request, now: float):
+        """Route ``req`` among the replicas active at ``now``; ``None``
+        when admission control rejects it."""
+        active = [r for r in self.replicas if r.is_active(now)]
+        if not active:
+            raise SchedulingError(
+                "no active replica to route request"
+                f" {req.request_id} at t={now}"
+            )
+        replica = self.policy.select(req, active, now)
+        cap = self.config.max_outstanding_per_replica
+        if cap is not None and replica.n_outstanding >= cap:
+            self.rejected.append(req)
+            if self._rec is not None:
+                self._rec.on_reject(req, now, self.name)
+            return None
+        return replica
 
     def finish(self) -> None:
         if self.n_unrouted:

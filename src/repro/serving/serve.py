@@ -493,13 +493,16 @@ class EngineReplica:
     * :meth:`_step_span` — the telemetry span of a single step.
 
     ``horizon`` is an optional callable returning the next event this
-    engine cannot see — the router's next undelivered arrival or the
-    autoscaler's next tick for a fleet cell, the upstream stages' next
-    events for a decode replica.  A fast-forward window takes no step
-    that starts at or after it; it is polled after pricing on every step
-    with bucketed costs (``cost_bucket > 0``), the only steps that can
-    open a window.  ``horizon is None`` promises more: every future
-    arrival already sits in ``pending``.  An engine that is also the
+    engine cannot see.  For a fleet cell that is the router's next
+    arrival and the autoscaler's next tick, or only the cell's own next
+    arrival when the router routed the trace ahead
+    (:meth:`~repro.serving.router.RouterStage.route_ahead`); for a
+    decode replica, its pool's upstream stages' next events, the
+    cell's fleet-side events included.  A fast-forward window takes no
+    step that starts at or after it; it is polled after pricing on
+    every step with bucketed costs (``cost_bucket > 0``), the only steps
+    that can open a window.  ``horizon is None`` promises more: every
+    future arrival already sits in ``pending``.  An engine that is also the
     only stage of its kernel (``ServingCore``'s engine) then owns all
     the state its next iteration reads, so :func:`run_decode_window`
     may replay that iteration inline when its head is a provable no-op
@@ -844,11 +847,15 @@ class ColocatedStage(EngineReplica, Stage):
             rec.sample_engine(self.name, self.clock, scheduler)
 
     # -- router surface -------------------------------------------------
-    def attach_router(self, fleet_stages) -> None:
-        """Cap this cell's windows at the next event of the fleet's
-        stages — the router's next arrival, the autoscaler's next tick:
-        both read the cell's state there."""
-        self.horizon = partial(next_event_among, fleet_stages)
+    def attach_router(self, upstream) -> None:
+        """Cap this cell's windows at the next event of ``upstream``.
+
+        That is the fleet's router and autoscaler, whose every arrival
+        and tick may read the cell's state, or, when the router routed
+        the trace ahead, only the cell's own arrival schedule
+        (:meth:`~repro.serving.router.RouterStage.route_ahead`).
+        """
+        self.horizon = partial(next_event_among, upstream)
 
     def is_active(self, now: float) -> bool:
         return self.active_since is not None and self.active_since <= now

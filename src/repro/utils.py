@@ -62,6 +62,19 @@ def require_finite(**values: float | None) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
+def require_int(minimum: int, **values: int) -> None:
+    """Raise :class:`ConfigError` naming the first value that is not an
+    ``int`` of at least ``minimum``.  A ``bool`` is not an int here, and
+    neither is a float: a count of ``1.5`` or NaN would pass a
+    ``< minimum`` check and then act as a fractional cap or no cap at
+    all."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
 def require_2d(array: np.ndarray, name: str = "array") -> None:
     """Raise :class:`ShapeError` unless ``array`` is two-dimensional."""
     if array.ndim != 2:

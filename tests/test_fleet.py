@@ -16,14 +16,20 @@ The invariants that make a fleet simulation trustworthy:
   engine, bit for bit, and (on the configs where it holds) the
   disaggregated one;
 * **decomposition** — a statically routed fleet is N independent cell
-  runs, each fed its own requests at the fleet's arrival instants;
+  runs, each fed only its own arrivals (what the fleet's routed-ahead
+  path does), or every fleet arrival instant (what it does when its
+  policy is not static);
+* **route-ahead scope** — only a static policy with no admission cap
+  and no autoscaler routes its trace ahead, calling ``select`` once per
+  request in arrival order; it moves no simulated output or
+  attribution, only where the cells' windows end (and with them the
+  window-granular telemetry events);
 * **signals** — every cell's ``kv_occupancy`` counter equals a recount
   from its queues at every routing decision.
 """
 
 import math
 from bisect import bisect_right
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +49,7 @@ from repro.serving import (
     InferenceEngine,
     LeastKVOccupancyPolicy,
     RoundRobinPolicy,
+    RouterConfig,
     RoutingPolicy,
     SchedulerLimits,
     ServingConfig,
@@ -64,14 +71,17 @@ from repro.serving import (
 )
 from repro.utils import ceil_div
 from test_serving_goldens import (
+    _ADMISSION_CAP,
+    _AUTOSCALER,
     _BACKPRESSURE,
+    TEL,
     _busy_chat,
     _chat,
     _disagg,
     _engine,
     _fleet,
     _sessions,
-    mask_pool_peaks,
+    digest,
 )
 
 LIMITS = SchedulerLimits(max_num_seqs=16, max_batched_tokens=8192)
@@ -136,19 +146,34 @@ class TestRoutingRegistry:
         with pytest.raises(UnknownSpecError):
             FleetConfig(routing="nope")
 
-    def test_register_custom_policy(self, engine):
+    @pytest.mark.parametrize("is_static", (False, True))
+    def test_register_custom_policy(self, engine, is_static):
+        """A registered policy routes by name; static or not, its
+        ``select`` runs exactly once per request, in arrival order."""
         @register_routing_policy
         class AlwaysFirstPolicy(RoutingPolicy):
             name = "always_first"
+            static = is_static
+
+            def __init__(self):
+                self.selected = []
 
             def select(self, req, active, now):
+                self.selected.append(req.request_id)
                 return active[0]
 
         try:
-            result = serve_fleet(
-                engine, fleet_config(n=3, routing="always_first"), n=40
+            requests = poisson_trace(40, 8.0, seed=0)
+            core = fleet_core(
+                engine, fleet_config(n=3, routing="always_first")
             )
+            result = core.serve(requests)
             assert result.routing_histogram == (40, 0, 0)
+            assert core.last_router.policy.selected == [
+                r.request_id for r in sorted(
+                    requests, key=lambda r: (r.arrival_s, r.request_id)
+                )
+            ]
         finally:
             del ROUTING_POLICIES["always_first"]
 
@@ -375,12 +400,12 @@ _DECOMPOSED = {
 }
 
 
-def _mask_pool_peaks(stats):
-    """``ReplicaStats`` rows with their pools masked by
-    :func:`mask_pool_peaks`."""
-    return tuple(
-        replace(row, pools=mask_pool_peaks(row.pools)) for row in stats
-    )
+def _non_static(routing: str) -> RoutingPolicy:
+    """A fresh instance of the builtin ``routing`` marked non-static: a
+    fleet running it routes at each arrival and ends every cell's
+    windows there, as it does for policies that read replica state."""
+    cls = ROUTING_POLICIES[routing]
+    return type(f"EveryArrival{cls.__name__}", (cls,), {"static": False})()
 
 
 class TestDecomposition:
@@ -393,19 +418,23 @@ class TestDecomposition:
         self, setup, routing, bucket, fleet_instants
     ):
         """Under static routing each cell run alone reproduces every
-        fleet output exactly, whether its feeder replays every fleet
-        arrival instant or only the cell's own: a decode window ends
-        where it would in a stepwise run, wherever events cut it.  Fed
-        its own arrivals only, a cell's multi-replica decode pool may
-        sample a different pool-wide ``peak_kv_frac`` (a sum over
-        replicas at different clocks; ROADMAP.md item 1)."""
+        fleet output exactly, the pool-wide ``peak_kv_frac`` of a
+        multi-replica decode pool included.  Fed only its own arrivals,
+        a cell equals the fleet, which routes the trace ahead and ends
+        each cell's windows at its own arrivals; fed every fleet arrival
+        instant, it equals the same fleet with its policy marked
+        non-static, which ends every cell's windows at every arrival."""
         config_of, trace_of, kv_frac = _DECOMPOSED[setup]
         config = config_of(bucket, routing)
         engine = _engine()
         kv_bytes = kv_frac * engine.plan.kv_bytes
         fleet_requests = trace_of()
+        fleet_config = (
+            config_of(bucket, _non_static(routing)) if fleet_instants
+            else config
+        )
         result = FleetCore(
-            engine.costs, engine.kv_spec, kv_bytes, config
+            engine.costs, engine.kv_spec, kv_bytes, fleet_config
         ).serve(fleet_requests)
         cell_requests = trace_of()
         cells, makespan = _decomposed_run(
@@ -420,11 +449,92 @@ class TestDecomposition:
         assert makespan == result.makespan_s
         assert sum(cell.n_steps for cell in cells) == result.n_steps
         stats = tuple(cell.stats(makespan) for cell in cells)
-        replicas = result.replicas
-        if not fleet_instants:
-            stats = _mask_pool_peaks(stats)
-            replicas = _mask_pool_peaks(replicas)
-        assert repr(stats) == repr(replicas)
+        assert repr(stats) == repr(result.replicas)
+
+
+# ----------------------------------------------------------------------
+# Route-ahead scope: only where no route can depend on the run
+# ----------------------------------------------------------------------
+def _fleet_outputs(result) -> tuple:
+    """Every simulated output and attribution of a fleet run.  Telemetry
+    events and gauges are left out: a window records one span and one
+    engine sample where single steps record one each."""
+    return (
+        result.makespan_s, result.tokens_generated, result.n_steps,
+        result.n_preemptions, result.n_unfinished, result.n_rejected,
+        result.peak_running,
+        sorted(result.timings, key=lambda t: t.request_id),
+        result.pools, result.replicas, result.prefix_cache,
+        result.scale_events,
+        sorted(result.telemetry.attributions.items()),
+    )
+
+
+class TestRouteAhead:
+    @pytest.mark.parametrize("limit", ("autoscaler", "admission_cap"))
+    @pytest.mark.parametrize("routing", ("round_robin", "session_affinity"))
+    def test_autoscaler_and_cap_route_at_each_arrival(self, routing, limit):
+        """An autoscaler changes the active set mid-run and a cap reads
+        the selected cell's backlog, so a static policy routes at each
+        arrival there, exactly as when it is marked non-static: the same
+        assignments, rejections and outputs, telemetry events included.
+        Both limits bite on this trace, so routing ahead (all replicas
+        active, no cap, windows ending only at a cell's own arrivals)
+        would move them."""
+        engine = _engine()
+
+        def serve(policy):
+            config = _fleet(
+                64, 3, policy, telemetry=TEL, **(
+                    {"autoscaler": _AUTOSCALER} if limit == "autoscaler"
+                    else {"router": _ADMISSION_CAP}
+                ),
+            )
+            core = FleetCore(
+                engine.costs, engine.kv_spec, 0.06 * engine.plan.kv_bytes,
+                config,
+            )
+            result = core.serve(_busy_chat())
+            return core.last_router, result
+
+        router, result = serve(routing)
+        reference_router, reference = serve(_non_static(routing))
+        assert router.assignments == reference_router.assignments
+        assert [r.request_id for r in router.rejected] == [
+            r.request_id for r in reference_router.rejected
+        ]
+        assert digest(result) == digest(reference)
+        if limit == "autoscaler":
+            assert any(e.action == "up" for e in result.scale_events)
+        else:
+            assert result.n_rejected > 0
+
+    @pytest.mark.parametrize("routing", ("round_robin", "session_affinity"))
+    def test_static_fleet_ends_fewer_windows(self, routing):
+        """Four chunked-disagg cells with a prefix cache, bucketed costs
+        and telemetry on: routed ahead, each cell's windows end only at
+        its own arrivals, so the kernel advances less, and every output
+        and attribution equals the run that ends them at every
+        arrival."""
+        engine = _engine()
+
+        def serve(policy):
+            config = _fleet(
+                64, 4, policy, _disagg(64, "chunked"), telemetry=TEL,
+                prefix_cache=PrefixCacheConfig(hot_frac=0.5, codec="kvcomp"),
+            )
+            return FleetCore(
+                engine.costs, engine.kv_spec, engine.plan.kv_bytes, config
+            ).serve(_sessions())
+
+        result = serve(routing)
+        reference = serve(_non_static(routing))
+        assert _fleet_outputs(result) == _fleet_outputs(reference)
+        advances = [
+            r.telemetry.metrics.counters["kernel/advances"]
+            for r in (result, reference)
+        ]
+        assert advances[0] < advances[1]
 
 
 # ----------------------------------------------------------------------
@@ -719,6 +829,19 @@ class TestConfigValidation:
         # interval_s=inf once passed and hung serve() ticking at t=inf.
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             AutoscalerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", (math.nan, 1.5, 2.0, True, "2"))
+    @pytest.mark.parametrize(("config", "field"), (
+        (RouterConfig, "max_outstanding_per_replica"),
+        (FleetConfig, "n_replicas"),
+        (AutoscalerConfig, "min_replicas"),
+        (AutoscalerConfig, "max_replicas"),
+    ))
+    def test_count_fields_reject_non_integers(self, config, field, value):
+        # A NaN cap or max_replicas once meant no cap, 1.5 a fractional
+        # cap, and 2.5 replicas a TypeError from inside serve().
+        with pytest.raises(ConfigError, match=f"^{field} must be an int"):
+            config(**{field: value})
 
     def test_instances_tuple_sets_size(self):
         inner = ServingConfig(prefill_mode="chunked")
