@@ -227,29 +227,6 @@ class MeasuredRatioProfile:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record_for(
-        self, codec: str, placement: str, cls: str | None = None
-    ) -> MeasuredRatio | None:
-        """One representative record for a codec x placement (or None).
-
-        With ``cls`` given and calibrated, that exact record — the one
-        backing :meth:`ratio_for`'s class-level answer.  Otherwise the
-        first record in key order; note the placement-level
-        :meth:`ratio_for` answer *pools bytes across all classes*, so
-        no single record backs it — use :attr:`records` to audit the
-        aggregate.
-        """
-        name = get_codec(codec).name
-        if cls is not None:
-            rec = self._records.get((name, placement, cls))
-            if rec is not None:
-                return rec
-        rows = [
-            r for (c, p, _), r in sorted(self._records.items())
-            if c == name and p == placement
-        ]
-        return rows[0] if rows else None
-
     def ratio_for(
         self, codec: str, placement: str, cls: str | None = None
     ) -> float | None:
@@ -287,12 +264,6 @@ class MeasuredRatioProfile:
     def codecs(self) -> list[str]:
         """Calibrated codec names, sorted."""
         return sorted({c for (c, _, _) in self._records})
-
-    def max_analytic_gap(self) -> float:
-        """Largest |measured/analytic - 1| across all records."""
-        return max(
-            (abs(r.analytic_gap) for r in self.records), default=0.0
-        )
 
     # ------------------------------------------------------------------
     # Persistence

@@ -59,13 +59,6 @@ class PipelineReport:
             return 1.0
         return self.bottleneck_bound / self.total_cycles
 
-    @property
-    def mma_utilisation(self) -> float:
-        """Fraction of the run the tensor-core pipe is busy."""
-        if self.total_cycles == 0:
-            return 0.0
-        return self.mma_busy / self.total_cycles
-
 
 def simulate_zipgemm_pipeline(
     n_tiles: int,

@@ -41,7 +41,6 @@ from ..tcatbe.layout import (
     BLOCK_TILE,
     FRAG_TILE,
     pad_matrix,
-    padded_shape,
     tile_base_coords,
     to_tiles,
 )
@@ -132,8 +131,3 @@ def dense_gemm_reference(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     if weights.dtype != np.uint16:
         raise ShapeError("weights must be BF16 bit patterns (uint16)")
     return bf16_to_f32(weights) @ x
-
-
-def padded_shape_of(weights: np.ndarray) -> tuple[int, int]:
-    """Convenience re-export for tests."""
-    return padded_shape(*weights.shape)

@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigError
-from ..utils import require_finite, require_int
+from ..utils import bounded, check_fields
 from .costs import StepCostModel, maybe_memoize
 from .disagg import DisaggCell
 from .kernel import EventKernel, Stage
@@ -101,28 +101,26 @@ class AutoscalerConfig:
     size.
     """
 
-    min_replicas: int = 1
-    max_replicas: int | None = None
-    interval_s: float = 1.0
-    warmup_s: float = 0.0
-    kv_high_frac: float = 0.85
-    kv_low_frac: float = 0.15
+    min_replicas: int = bounded(1, ge=1)
+    max_replicas: int | None = bounded(None, ge=1)
+    interval_s: float = bounded(1.0, gt=0.0)
+    warmup_s: float = bounded(0.0, ge=0.0)
+    kv_high_frac: float = bounded(0.85, gt=0.0, le=1.0)
+    kv_low_frac: float = bounded(0.15, ge=0.0, lt=1.0)
 
     def __post_init__(self) -> None:
-        require_int(1, min_replicas=self.min_replicas)
-        if self.max_replicas is not None:
-            require_int(self.min_replicas, max_replicas=self.max_replicas)
-        # An infinite interval would tick forever at t=inf; an infinite
-        # warm-up would activate a replica never.
-        require_finite(interval_s=self.interval_s, warmup_s=self.warmup_s)
-        if not self.interval_s > 0:
-            raise ConfigError("interval_s must be positive")
-        if self.warmup_s < 0:
-            raise ConfigError("warmup_s must be >= 0")
-        if not 0.0 <= self.kv_low_frac < self.kv_high_frac <= 1.0:
+        check_fields(self)
+        if self.max_replicas is not None and (
+            self.max_replicas < self.min_replicas
+        ):
             raise ConfigError(
-                "need 0 <= kv_low_frac < kv_high_frac <= 1, got"
-                f" [{self.kv_low_frac}, {self.kv_high_frac}]"
+                f"max_replicas must be >= {self.min_replicas},"
+                f" got {self.max_replicas}"
+            )
+        if not self.kv_low_frac < self.kv_high_frac:
+            raise ConfigError(
+                f"kv_low_frac must be < kv_high_frac ({self.kv_high_frac}),"
+                f" got {self.kv_low_frac}"
             )
 
 
@@ -141,9 +139,11 @@ class FleetConfig:
     may not nest fleets.
     """
 
-    n_replicas: int = 2
+    n_replicas: int = bounded(2, ge=1)
+    #: A routing-policy name or instance, resolved in ``__post_init__``.
     routing: object = "round_robin"
     instance: ServingConfig | None = None
+    #: Checked element by element in ``__post_init__``.
     instances: tuple[ServingConfig, ...] = ()
     autoscaler: AutoscalerConfig | None = None
     #: Front-door admission control
@@ -152,22 +152,13 @@ class FleetConfig:
     router: RouterConfig | None = None
 
     def __post_init__(self) -> None:
-        require_int(1, n_replicas=self.n_replicas)
-        if self.router is not None and not isinstance(
-            self.router, RouterConfig
-        ):
-            raise ConfigError(
-                "FleetConfig.router must be a RouterConfig,"
-                f" got {type(self.router).__name__}"
-            )
+        check_fields(self)
         get_routing_policy(self.routing)  # raises UnknownSpecError
-        for cfg in (self.instance, *self.instances):
-            if cfg is None:
-                continue
+        templates = () if self.instance is None else (self.instance,)
+        for cfg in (*templates, *self.instances):
             if not isinstance(cfg, ServingConfig):
                 raise ConfigError(
-                    "fleet instances must be ServingConfig values,"
-                    f" got {type(cfg).__name__}"
+                    f"instances must hold ServingConfig values, got {cfg!r}"
                 )
             if cfg.mode == "fleet":
                 raise ConfigError("fleet instances cannot nest fleets")

@@ -185,11 +185,6 @@ class PagedKVCache:
 
     # ------------------------------------------------------------------
     @property
-    def capacity_tokens(self) -> int:
-        """Total token slots."""
-        return self.n_blocks * self.spec.block_size
-
-    @property
     def free_blocks(self) -> int:
         """Blocks currently unallocated."""
         return self.n_blocks - self.used_blocks

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
+from ..utils import bounded, check_fields
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -92,15 +93,11 @@ class SLOTarget:
     every comparison and report zero attainment instead of an error.
     """
 
-    ttft_s: float = 1.0
-    tpot_s: float = 0.1
+    ttft_s: float = bounded(1.0, gt=0.0, inf_ok=True)
+    tpot_s: float = bounded(0.1, gt=0.0, inf_ok=True)
 
     def __post_init__(self) -> None:
-        for name in ("ttft_s", "tpot_s"):
-            if math.isnan(getattr(self, name)):
-                raise ConfigError(f"SLOTarget.{name} must not be NaN")
-        if self.ttft_s <= 0 or self.tpot_s <= 0:
-            raise ConfigError("SLO targets must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from ..analysis.calibration import decode_cycles_per_element
 from ..compression import get_codec
 from ..errors import ConfigError
-from ..utils import ceil_div
+from ..utils import bounded, ceil_div, check_fields
 
 __all__ = [
     "PrefixCacheConfig",
@@ -113,21 +113,13 @@ class PrefixCacheConfig:
     against.
     """
 
-    capacity_frac: float = 0.2
-    hot_frac: float = 0.5
+    capacity_frac: float = bounded(0.2, gt=0.0, lt=1.0)
+    hot_frac: float = bounded(0.5, ge=0.0, le=1.0)
+    #: A codec registry name, looked up in ``__post_init__``.
     codec: str | None = "auto"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.capacity_frac < 1.0:
-            raise ConfigError(
-                "prefix cache capacity_frac must be in (0, 1), got"
-                f" {self.capacity_frac}"
-            )
-        if not 0.0 <= self.hot_frac <= 1.0:
-            raise ConfigError(
-                f"prefix cache hot_frac must be in [0, 1], got"
-                f" {self.hot_frac}"
-            )
+        check_fields(self)
         if self.codec is not None and self.codec != "auto":
             get_codec(self.codec)  # raises UnknownSpecError if absent
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, UnknownSpecError
+from ..utils import bounded, check_fields
 from .scheduler import Request
 from .trace import LengthDistribution, TenantSpec
 
@@ -72,14 +73,13 @@ class WorkloadStream:
     :class:`~repro.serving.trace.TenantSpec`).
     """
 
-    weight: float
+    weight: float = bounded(gt=0.0)
     prompts: LengthDistribution
     outputs: LengthDistribution
     priority: int = 0
 
     def __post_init__(self) -> None:
-        if not self.weight > 0:
-            raise ConfigError("stream weight must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,7 @@ class WorkloadProfile:
     streams: dict[str, WorkloadStream] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_fields(self)  # a SessionProfile's two numeric fields
         if not self.name:
             raise ConfigError("profile needs a name")
         if not self.streams:
@@ -224,15 +225,8 @@ class SessionProfile(WorkloadProfile):
     comparable across rates.
     """
 
-    system_prompt_len: int = 256
-    mean_turns: float = 4.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.system_prompt_len < 0:
-            raise ConfigError("system_prompt_len must be >= 0")
-        if self.mean_turns < 1.0:
-            raise ConfigError("mean_turns must be >= 1")
+    system_prompt_len: int = bounded(256, ge=0)
+    mean_turns: float = bounded(4.0, ge=1.0)
 
     def trace(
         self,

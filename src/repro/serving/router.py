@@ -77,7 +77,7 @@ import zlib
 from dataclasses import dataclass
 
 from ..errors import SchedulingError, UnknownSpecError
-from ..utils import require_int
+from ..utils import bounded, check_fields
 from .kernel import Stage
 from .scheduler import Request
 
@@ -308,12 +308,10 @@ class RouterConfig:
     pool is exhausted.  ``None`` (the default) admits everything.
     """
 
-    max_outstanding_per_replica: int | None = None
+    max_outstanding_per_replica: int | None = bounded(None, ge=1)
 
     def __post_init__(self) -> None:
-        cap = self.max_outstanding_per_replica
-        if cap is not None:
-            require_int(1, max_outstanding_per_replica=cap)
+        check_fields(self)
 
 
 class _RoutedArrivals:

@@ -42,12 +42,12 @@ Invariants this layer guarantees (tested in ``tests/test_scheduler.py``):
 from __future__ import annotations
 
 import enum
+import math
 from bisect import insort
 from dataclasses import dataclass, field
 
-from ..errors import (
-    CapacityError, ConfigError, SchedulingError, UnknownSpecError,
-)
+from ..errors import CapacityError, SchedulingError, UnknownSpecError
+from ..utils import bounded, check_fields
 from .kvcache import PagedKVCache
 
 
@@ -91,10 +91,20 @@ class Request:
     prefix_tokens: int = 0
 
     def __post_init__(self) -> None:
-        if self.prompt_len <= 0:
-            raise SchedulingError("prompt_len must be positive")
-        if self.max_new_tokens <= 0:
-            raise SchedulingError("max_new_tokens must be positive")
+        # Inline, not check_fields: this runs once per trace request.
+        if type(self.prompt_len) is not int or self.prompt_len < 1:
+            raise SchedulingError(
+                f"prompt_len must be an int >= 1, got {self.prompt_len!r}"
+            )
+        if type(self.max_new_tokens) is not int or self.max_new_tokens < 1:
+            raise SchedulingError(
+                "max_new_tokens must be an int >= 1, got"
+                f" {self.max_new_tokens!r}"
+            )
+        if not math.isfinite(self.arrival_s):
+            raise SchedulingError(
+                f"arrival_s must be finite, got {self.arrival_s}"
+            )
 
     @property
     def context_len(self) -> int:
@@ -235,8 +245,10 @@ class AgingPriorityPolicy(PriorityPolicy):
     def __init__(self, aging_rate: float | None = None):
         if aging_rate is None:
             aging_rate = self.DEFAULT_AGING_RATE
-        if aging_rate < 0:
-            raise SchedulingError("aging_rate must be >= 0")
+        if not (math.isfinite(aging_rate) and aging_rate >= 0):
+            raise SchedulingError(
+                f"aging_rate must be finite and >= 0, got {aging_rate}"
+            )
         self.aging_rate = float(aging_rate)
 
     def _effective(self, req: Request) -> float:
@@ -291,14 +303,11 @@ def get_policy(policy: str | SchedulerPolicy) -> SchedulerPolicy:
 class SchedulerLimits:
     """Admission limits (vLLM-style)."""
 
-    max_num_seqs: int = 256
-    max_batched_tokens: int = 8192
+    max_num_seqs: int = bounded(256, ge=1)
+    max_batched_tokens: int = bounded(8192, ge=1)
 
     def __post_init__(self) -> None:
-        for name in ("max_num_seqs", "max_batched_tokens"):
-            value = getattr(self, name)
-            if not value >= 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        check_fields(self)
 
 
 @dataclass

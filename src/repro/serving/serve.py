@@ -73,7 +73,7 @@ from ..compression import (
     resolve_spec,
 )
 from ..errors import CapacityError, ConfigError
-from ..utils import ceil_div
+from ..utils import bounded, ceil_div, check_fields
 from .costs import StepCostModel, maybe_memoize
 from .kernel import EventKernel, Stage
 from .kvcache import KVCacheSpec, PagedKVCache
@@ -88,6 +88,7 @@ from .scheduler import (
     Request,
     SchedulerLimits,
     SchedulerPolicy,
+    get_policy,
 )
 from .telemetry import TelemetryConfig, build_recorder
 
@@ -156,14 +157,11 @@ class BackpressureConfig:
     ``tests/test_kernel.py``).
     """
 
-    min_free_kv_frac: float = 0.0
-    max_link_queue: int | None = None
+    min_free_kv_frac: float = bounded(0.0, ge=0.0, le=1.0)
+    max_link_queue: int | None = bounded(None, ge=1)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.min_free_kv_frac <= 1.0:
-            raise ConfigError("min_free_kv_frac must be in [0, 1]")
-        if self.max_link_queue is not None and self.max_link_queue < 1:
-            raise ConfigError("max_link_queue must be >= 1 (or None)")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -185,19 +183,20 @@ class DisaggConfig:
     on the interconnect.
     """
 
-    prefill_replicas: int = 1
-    decode_replicas: int = 1
-    link_gb_per_s: float = float("inf")
-    link_latency_s: float = 0.0
+    prefill_replicas: int = bounded(1, ge=1)
+    decode_replicas: int = bounded(1, ge=1)
+    link_gb_per_s: float = bounded(math.inf, gt=0.0, inf_ok=True)
+    link_latency_s: float = bounded(0.0, ge=0.0)
+    #: A codec registry name, looked up in ``__post_init__``.
     transfer_codec: str = "none"
     #: Explicit wire compression ratio; ``None`` derives it from the
     #: codec's registry estimator (1.0 for ``"none"``).
-    transfer_ratio: float | None = None
+    transfer_ratio: float | None = bounded(None, ge=1.0)
     #: ``"shared"`` — one serial FIFO channel carries every hand-off
     #: (the PR 2 model); ``"per_replica"`` — each decode replica has its
     #: own dedicated link of ``link_gb_per_s``, so transfers to
     #: different replicas overlap on the wire.
-    link_topology: str = "shared"
+    link_topology: str = bounded("shared", choices=LINK_TOPOLOGIES)
     #: How the prefill pool runs: ``"group"`` — one whole-prompt pass
     #: per request per replica (the PR 2 model, bit-compatible default);
     #: ``"chunked"`` — each prefill replica co-schedules prompt chunks
@@ -206,46 +205,21 @@ class DisaggConfig:
     #: (Deliberately separate from the colocated-only
     #: ``ServingConfig.prefill_mode``, which existing disagg configs set
     #: without meaning to reshape the pool.)
-    prefill_mode: str = "group"
+    prefill_mode: str = bounded("group", choices=PREFILL_MODES)
     #: Analytic layer-wise prefill/transfer overlap: this fraction of a
     #: hand-off's serialization time is hidden under the tail of its
     #: prefill (early layers' KV ships while late layers still compute),
     #: so only ``1 - overlap_fraction`` of the wire time plus the link
     #: latency is paid after prefill completes.  0 (default) keeps the
     #: PR 2 no-overlap arithmetic bit-exactly.
-    overlap_fraction: float = 0.0
+    overlap_fraction: float = bounded(0.0, ge=0.0, le=1.0)
     #: Decode→prefill backpressure watermarks; ``None`` (default) keeps
     #: the feedback-free PR 2 pipeline.
     backpressure: BackpressureConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.prefill_replicas < 1 or self.decode_replicas < 1:
-            raise ConfigError("each pool needs at least one replica")
-        if not self.link_gb_per_s > 0:
-            raise ConfigError("link_gb_per_s must be positive (inf allowed)")
-        latency = self.link_latency_s
-        if not (math.isfinite(latency) and latency >= 0):
-            raise ConfigError(
-                f"link_latency_s must be finite and >= 0, got {latency}"
-            )
+        check_fields(self)
         get_codec(self.transfer_codec)  # raises UnknownSpecError if absent
-        ratio = self.transfer_ratio
-        if ratio is not None and not (math.isfinite(ratio) and ratio >= 1.0):
-            raise ConfigError(
-                f"transfer_ratio must be finite and >= 1, got {ratio}"
-            )
-        if self.link_topology not in LINK_TOPOLOGIES:
-            raise ConfigError(
-                f"link_topology must be one of {LINK_TOPOLOGIES},"
-                f" got {self.link_topology!r}"
-            )
-        if self.prefill_mode not in PREFILL_MODES:
-            raise ConfigError(
-                f"disagg prefill_mode must be one of {PREFILL_MODES},"
-                f" got {self.prefill_mode!r}"
-            )
-        if not 0.0 <= self.overlap_fraction <= 1.0:
-            raise ConfigError("overlap_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -271,13 +245,15 @@ class ServingConfig:
     rather than analytic (explicit ratios still win over both).
     """
 
+    #: A policy name or instance, resolved by ``get_policy`` in
+    #: ``__post_init__``.
     policy: str | SchedulerPolicy = "fcfs"
-    prefill_mode: str = "chunked"
+    prefill_mode: str = bounded("chunked", choices=PREFILL_MODES)
     limits: SchedulerLimits = field(default_factory=SchedulerLimits)
     slo: SLOTarget = field(default_factory=SLOTarget)
     #: 0 disables cost memoization; > 0 buckets decode contexts (and
     #: prefill chunks, at a quarter of the size) to that many tokens.
-    cost_bucket: int = 0
+    cost_bucket: int = bounded(0, ge=0)
     preemption: bool = True
     #: ``"colocated"`` runs prefill and decode on one engine
     #: (:class:`ServingCore`); ``"disaggregated"`` splits them into two
@@ -285,7 +261,7 @@ class ServingConfig:
     #: (:class:`repro.serving.disagg.DisaggregatedCore`); ``"fleet"``
     #: composes N replica instances behind a routing stage
     #: (:class:`repro.serving.fleet.FleetCore`), geometry in ``fleet``.
-    mode: str = "colocated"
+    mode: str = bounded("colocated", choices=SERVING_MODES)
     disagg: DisaggConfig = field(default_factory=DisaggConfig)
     #: Fleet geometry and routing
     #: (:class:`repro.serving.fleet.FleetConfig`); defaults to a
@@ -328,24 +304,7 @@ class ServingConfig:
     telemetry: TelemetryConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.prefill_mode not in PREFILL_MODES:
-            raise ConfigError(
-                f"prefill_mode must be one of {PREFILL_MODES},"
-                f" got {self.prefill_mode!r}"
-            )
-        if (
-            not isinstance(self.cost_bucket, int)
-            or isinstance(self.cost_bucket, bool)
-            or self.cost_bucket < 0
-        ):
-            raise ConfigError(
-                "cost_bucket must be an int >= 0, got"
-                f" {self.cost_bucket!r}"
-            )
-        if self.mode not in SERVING_MODES:
-            raise ConfigError(
-                f"mode must be one of {SERVING_MODES}, got {self.mode!r}"
-            )
+        check_fields(self)
         for slot in (self.weight_codec, self.kv_codec, self.transfer_codec):
             if slot is not None and slot != AUTO_CODEC:
                 get_codec(slot)  # raises UnknownSpecError if absent
@@ -357,25 +316,11 @@ class ServingConfig:
                 object.__setattr__(self, "fleet", FleetConfig())
             elif not isinstance(self.fleet, FleetConfig):
                 raise ConfigError(
-                    "fleet must be a FleetConfig, got"
-                    f" {type(self.fleet).__name__}"
+                    f"fleet must be a FleetConfig, got {self.fleet!r}"
                 )
-        if self.prefix_cache is not None and not isinstance(
-            self.prefix_cache, PrefixCacheConfig
-        ):
-            raise ConfigError(
-                "prefix_cache must be a PrefixCacheConfig, got"
-                f" {type(self.prefix_cache).__name__}"
-            )
-        if self.telemetry is not None and not isinstance(
-            self.telemetry, TelemetryConfig
-        ):
-            raise ConfigError(
-                "telemetry must be a TelemetryConfig, got"
-                f" {type(self.telemetry).__name__}"
-            )
-        # A bad policy name should fail at config construction, not at
-        # the first serve() with an "auto" slot.
+        # Bad policy names fail at config construction, not at the first
+        # serve() (or, for the codec policy, its first "auto" slot).
+        get_policy(self.policy)
         get_codec_policy(self.codec_policy)
 
     @property

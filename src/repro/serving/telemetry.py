@@ -69,6 +69,7 @@ from itertools import repeat
 from operator import truediv
 
 from ..errors import ConfigError
+from ..utils import check_fields
 
 __all__ = [
     "PHASES",
@@ -124,11 +125,7 @@ class TelemetryConfig:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.enabled, bool):
-            raise ConfigError(
-                "TelemetryConfig.enabled must be a bool, got"
-                f" {self.enabled!r}"
-            )
+        check_fields(self)
 
     def build(self) -> "TraceRecorder | None":
         """A fresh recorder for one run (``None`` when disabled)."""

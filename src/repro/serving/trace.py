@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..utils import require_finite
+from ..utils import bounded, check_fields, require_finite
 from .scheduler import Request
 
 
@@ -29,16 +29,18 @@ from .scheduler import Request
 class LengthDistribution:
     """Clipped log-normal token-length distribution."""
 
-    mean: float
-    cv: float  # coefficient of variation (std / mean)
-    minimum: int
-    maximum: int
+    mean: float = bounded(gt=0.0)
+    cv: float = bounded(ge=0.0)  # coefficient of variation (std / mean)
+    minimum: int = bounded(ge=1)
+    maximum: int = bounded(ge=1)
 
     def __post_init__(self) -> None:
-        if self.mean <= 0 or self.cv < 0:
-            raise ConfigError("length distribution needs mean > 0, cv >= 0")
-        if not 1 <= self.minimum <= self.maximum:
-            raise ConfigError("invalid length bounds")
+        check_fields(self)
+        if self.maximum < self.minimum:
+            raise ConfigError(
+                f"maximum must be >= minimum ({self.minimum}),"
+                f" got {self.maximum}"
+            )
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` integer lengths."""
@@ -117,18 +119,14 @@ def poisson_trace(
 class TenantSpec:
     """One tenant's traffic: arrival rate, length mix, priority."""
 
-    rate_rps: float
-    n_requests: int
+    rate_rps: float = bounded(gt=0.0)
+    n_requests: int = bounded(ge=1)
     prompts: LengthDistribution = DEFAULT_PROMPTS
     outputs: LengthDistribution = DEFAULT_OUTPUTS
     priority: int = 0
 
     def __post_init__(self) -> None:
-        require_finite(rate_rps=self.rate_rps)
-        if self.rate_rps <= 0:
-            raise ConfigError("tenant arrival rate must be positive")
-        if self.n_requests <= 0:
-            raise ConfigError("tenant needs at least one request")
+        check_fields(self)
 
 
 #: An interactive chat tenant plus a bulk batch tenant — the canonical

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import typing
+from dataclasses import MISSING, field, fields, is_dataclass
 from typing import Iterable
 
 import numpy as np
@@ -62,17 +66,77 @@ def require_finite(**values: float | None) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def require_int(minimum: int, **values: int) -> None:
-    """Raise :class:`ConfigError` naming the first value that is not an
-    ``int`` of at least ``minimum``.  A ``bool`` is not an int here, and
-    neither is a float: a count of ``1.5`` or NaN would pass a
-    ``< minimum`` check and then act as a fractional cap or no cap at
-    all."""
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an int, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+#: ``bounded`` keyword -> (the comparison a value must pass, its symbol).
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+           "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
+
+
+def bounded(default=MISSING, *, inf_ok=False, choices=(), **bounds):
+    """A config dataclass field with a declared range for
+    :func:`check_fields`: any of ``gt``, ``ge``, ``lt`` and ``le``, or
+    the ``choices`` a ``str`` field may take.  ``inf_ok`` lets ``inf``
+    mean "no bound"."""
+    return field(default=default, metadata={
+        "bounds": [(*_BOUNDS[op], bound) for op, bound in bounds.items()],
+        "inf_ok": inf_ok, "choices": choices,
+    })
+
+
+@functools.cache
+def _contract(cls: type) -> tuple:
+    """The checked fields of ``cls``, resolved once per class.  A field
+    is checked when its annotation is ``int``, ``float``, ``bool``, a
+    dataclass or a ``str`` with ``choices``, or one of these ``| None``;
+    any other field is left to explicit lines in ``__post_init__``."""
+    hints = typing.get_type_hints(cls)
+    contract = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        args = typing.get_args(kind)
+        optional = len(args) == 2 and type(None) in args
+        if optional:
+            kind = next(a for a in args if a is not type(None))
+        meta = {"bounds": (), "inf_ok": False, "choices": (), **f.metadata}
+        if meta["choices"] or kind in (int, float, bool) or is_dataclass(kind):
+            accepted = (int, float) if kind is float else kind
+            contract.append((f.name, kind.__name__, accepted, optional,
+                             meta["bounds"], meta["inf_ok"], meta["choices"]))
+    return tuple(contract)
+
+
+def check_fields(config) -> None:
+    """Raise :class:`ConfigError` naming the first field of the config
+    dataclass ``config`` that breaks its declared contract.  An ``int``
+    is a Python ``int``, never a ``bool`` or a float; a ``float`` is an
+    ``int`` or a ``float`` but never a ``bool``; a ``bool`` or nested
+    config field holds an instance of its type; only an ``X | None``
+    field takes ``None``.  NaN always fails, ``inf`` unless declared
+    ``inf_ok``; bounds and choices come from :func:`bounded`.  Values
+    are checked, never converted."""
+    for name, kind, accepted, optional, bounds, inf_ok, choices in (
+        _contract(type(config))
+    ):
+        value = getattr(config, name)
+        if value is None and optional:
+            continue
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and kind != "bool"
+        ):
+            a = "an" if kind[0] in "aeiouAEIOU" else "a"
+            raise ConfigError(f"{name} must be {a} {kind}, got {value!r}")
+        if isinstance(value, float) and (
+            math.isnan(value) or (math.isinf(value) and not inf_ok)
+        ):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        for op, symbol, bound in bounds:
+            if not op(value, bound):
+                raise ConfigError(
+                    f"{name} must be {symbol} {bound}, got {value}"
+                )
+        if choices and value not in choices:
+            raise ConfigError(
+                f"{name} must be one of {choices}, got {value!r}"
+            )
 
 
 def require_2d(array: np.ndarray, name: str = "array") -> None:

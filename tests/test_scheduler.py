@@ -1,6 +1,7 @@
 """Tests for static-batch and continuous-batching schedulers."""
 
 import copy
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,23 @@ class TestRequest:
             Request(0, 0, 5)
         with pytest.raises(SchedulingError):
             Request(0, 5, 0)
+        # Unchecked, prompt_len=64.5 served silently, a NaN length
+        # stranded the valid request queued behind it, an infinite
+        # output raised an untyped TypeError, and a NaN arrival stopped
+        # the event kernel making progress.
+        bad = [
+            ("prompt_len", (0, 64.5, 5)),
+            ("prompt_len", (0, math.nan, 5)),
+            ("prompt_len", (0, True, 5)),
+            ("prompt_len", (0, "64", 5)),
+            ("max_new_tokens", (0, 64, math.inf)),
+            ("max_new_tokens", (0, 64, 2.0)),
+            ("arrival_s", (0, 64, 5, math.nan)),
+            ("arrival_s", (0, 64, 5, math.inf)),
+        ]
+        for name, args in bad:
+            with pytest.raises(SchedulingError, match=f"^{name} must be"):
+                Request(*args)
 
 
 class TestStaticBatch:
@@ -237,6 +255,11 @@ class TestPolicies:
 
         with pytest.raises(SchedulingError):
             AgingPriorityPolicy(aging_rate=-0.1)
+        # A NaN rate once made every key NaN and silently dropped the
+        # priority order.
+        for rate in (math.nan, math.inf):
+            with pytest.raises(SchedulingError, match="^aging_rate must be"):
+                AgingPriorityPolicy(aging_rate=rate)
 
     def test_priority_admission_order(self):
         sched = ContinuousBatchScheduler(
